@@ -2,17 +2,19 @@
 
 Subcommands cover the three solution routes plus the analysis helpers, and a
 set of named presets regenerates every reference data set (fig2 ... fig9,
-sec5) as deterministic CSV.  Configuration comes from flat key=value files
-with command-line flags taking precedence; identical inputs always produce
-byte-identical output.
+sec5) as deterministic CSV.  Each subcommand is declared once in
+``COMMANDS``; its flags, its config keys and its preset choices are generated
+from that declaration, and ``paper-figures`` runs every preset through the
+same path as ``<command> --preset <name>``.  Configuration comes from flat
+key=value files with command-line flags taking precedence; identical inputs
+always produce byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +23,7 @@ from .analysis import classify, dimensionless_chi, fit_decay, mirror_chirp
 from .closedform import gamma_infinity
 from .dynamics import IntegratorConfig, evolve, init_state
 from .errors import SolverError, ValidationError
-from .model import ModelParams, build_grid, rabi_frequency, xi
+from .model import ModelParams, build_grid, xi
 from .spectra import numeric_spectrum, spectrum_closure
 from .volterra import VolterraConfig, solve_volterra
 
@@ -78,9 +80,8 @@ PRESETS: dict[str, dict] = {
     "fig7": {"command": "simulate", "d": 8.0, "chi": 8.4, "t_end": 8.0, "with_static": True},
     "fig8": {"command": "simulate", "d": 8.0, "chi": 2.0, "t_end": 1.0, "with_static": True},
     "fig9": {"command": "spectrum", "d": 8.0, "chi": 8.4, "times": [3.81, 4.00, 7.60, 7.79]},
-    "sec5": {"command": "classify"},
+    "sec5": {"command": "classify", "core": "sec5_table"},
 }
-PRESET_ORDER = ["fig2", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "sec5"]
 
 
 def _parse_bool(text: str) -> bool:
@@ -89,7 +90,7 @@ def _parse_bool(text: str) -> bool:
         return True
     if v in {"0", "false", "no", "off"}:
         return False
-    raise ValidationError(f"cannot interpret {text!r} as a boolean")
+    raise ValueError("expected one of 1/0, true/false, yes/no, on/off")
 
 
 def _parse_float_list(text: str) -> list[float]:
@@ -98,11 +99,7 @@ def _parse_float_list(text: str) -> list[float]:
 
 def _read_config(path: str) -> dict[str, str]:
     out: dict[str, str] = {}
-    try:
-        lines = Path(path).read_text().splitlines()
-    except OSError as exc:
-        raise ValidationError(f"cannot read config file {path}: {exc}") from exc
-    for ln_no, raw in enumerate(lines, 1):
+    for ln_no, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -113,47 +110,22 @@ def _read_config(path: str) -> dict[str, str]:
     return out
 
 
-class _Options:
-    """Precedence stack: command-line flags beat config-file entries beat
-    preset values beat built-in defaults."""
-
-    def __init__(self, ns: argparse.Namespace, allowed: set[str]):
-        self._ns = ns
-        self._cfg = _read_config(ns.config) if getattr(ns, "config", None) else {}
-        preset_name = getattr(ns, "preset", None)
-        self._preset = PRESETS[preset_name] if preset_name else {}
-        unknown = set(self._cfg) - allowed
-        if unknown:
-            raise ValidationError(
-                f"unknown config keys for this command: {', '.join(sorted(unknown))}"
-            )
-
-    def get(self, key: str, cast=float, default=None, required: bool = False):
-        value = getattr(self._ns, key, None)
-        if value is None:
-            if key in self._cfg:
-                value = self._cfg[key]
-            elif key in self._preset:
-                value = self._preset[key]
-        if value is None:
-            if required:
-                raise ValidationError(f"missing required parameter: {key}")
-            return default
-        if isinstance(value, str) and cast is not str:
-            value = cast(value)
-        return value
-
-
 def _fmt(value) -> str:
     if isinstance(value, str):
         return value
     return f"{float(value):.16e}"
 
 
-def _write_table(out: str | None, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
-    text = "\n".join(lines) + "\n"
+def _write(out: str | None, result) -> None:
+    """Write a core's result, a one-line report or a (header, rows) table, to
+    ``out`` (or stdout)."""
+    if isinstance(result, str):
+        text = result + "\n"
+    else:
+        header, rows = result
+        lines = [",".join(header)]
+        lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
+        text = "\n".join(lines) + "\n"
     if out is None:
         sys.stdout.write(text)
     else:
@@ -161,27 +133,13 @@ def _write_table(out: str | None, header: list[str], rows) -> None:
             fh.write(text)
 
 
-def _emit_line(out: str | None, line: str) -> None:
-    if out is None:
-        print(line)
-    else:
-        with open(out, "w", newline="") as fh:
-            fh.write(line + "\n")
-
-
-def _max_workers(n_jobs: int) -> int:
-    env = os.environ.get("CHIRPED_BATH_THREADS")
-    cap = int(env) if env else (os.cpu_count() or 1)
-    return max(1, min(cap, n_jobs))
-
-
 # ---------------------------------------------------------------- cores
 
 
 def simulate_table(
     d: float,
-    chi: float,
     t_end: float,
+    chi: float = 0.0,
     modes_per_gamma: float = 10.0,
     rel_tol: float = 1e-8,
     sample_every: float = 1e-3,
@@ -208,17 +166,17 @@ def simulate_table(
     return header, list(zip(*columns))
 
 
-def volterra_table(d: float, chi: float, t_end: float, steps: int = 1024):
-    p = ModelParams(d=d, chi=chi)
-    sol = solve_volterra(p, t_end, VolterraConfig(steps=steps))
-    header = ["t", "pa"]
-    return header, list(zip(sol.times, sol.pa)), sol.richardson_error
+def volterra_table(d: float, t_end: float, chi: float = 0.0, steps: int = 1024):
+    """Memory-kernel trajectory; its Richardson error estimate goes to stderr."""
+    sol = solve_volterra(ModelParams(d=d, chi=chi), t_end, VolterraConfig(steps=steps))
+    print(f"richardson error estimate: {sol.richardson_error:.3e}", file=sys.stderr)
+    return ["t", "pa"], list(zip(sol.times, sol.pa))
 
 
 def spectrum_table(
     d: float,
-    chi: float,
     times: list[float],
+    chi: float = 0.0,
     modes_per_gamma: float = 10.0,
     rel_tol: float = SPECTRUM_REL_TOL,
 ):
@@ -258,7 +216,7 @@ def gamma_inf_table(
     modes_per_gamma: float = 10.0,
 ):
     """Analytic flat-rate sweep, with numerically fitted rates at selected
-    points; rows are sorted by (d, chi) regardless of completion order."""
+    points; rows are sorted by (d, chi)."""
     if not d_list:
         raise ValidationError("d_list must not be empty")
     if chi_points < 2 or not 0 < chi_min < chi_max:
@@ -268,23 +226,16 @@ def gamma_inf_table(
         for chi in np.geomspace(chi_min, chi_max, chi_points):
             key = (float(d), float(chi))
             entries[key] = [gamma_infinity(ModelParams(d=key[0], chi=key[1])), None]
-
-    def fitted_rate(chi: float) -> float:
+    if fit_chis and fit_d is None:
+        raise ValidationError("fit_chis given without fit_d")
+    for chi in fit_chis or ():
         p = ModelParams(d=fit_d, chi=chi)
         grid = build_grid(p, fit_t_end, modes_per_gamma)
         traj = evolve(init_state(grid), grid, p, IntegratorConfig(rel_tol=rel_tol), fit_t_end)
-        return fit_decay(traj, FIT_WINDOW).rate
-
-    if fit_chis:
-        if fit_d is None:
-            raise ValidationError("fit_chis given without fit_d")
-        with ThreadPoolExecutor(max_workers=_max_workers(len(fit_chis))) as pool:
-            rates = list(pool.map(fitted_rate, fit_chis))
-        for chi, rate in zip(fit_chis, rates):
-            key = (float(fit_d), float(chi))
-            if key not in entries:
-                entries[key] = [gamma_infinity(ModelParams(d=key[0], chi=key[1])), None]
-            entries[key][1] = rate
+        key = (float(fit_d), float(chi))
+        if key not in entries:
+            entries[key] = [gamma_infinity(p), None]
+        entries[key][1] = fit_decay(traj, FIT_WINDOW).rate
 
     rows = []
     for (d, chi) in sorted(entries):
@@ -310,7 +261,7 @@ def sec5_table():
     for name, d, gamma_si, speed in cases:
         chi_si = mirror_chirp(_SEC5_OMEGA0_SI, _SEC5_LENGTH_SI, -speed)
         chi = dimensionless_chi(chi_si, gamma_si)
-        p = ModelParams(d=d, chi=chi, gamma_si=gamma_si)
+        p = ModelParams(d=d, chi=chi)
         report = classify(p)
         rate = gamma_infinity(p)
         rows.append(
@@ -342,162 +293,130 @@ def sec5_table():
     return header, rows
 
 
+def _classify_line(d: float, chi: float = 0.0) -> str:
+    """One-line regime report for one parameter point."""
+    report = classify(ModelParams(d=d, chi=chi))
+    line = f"coupling_class={report.coupling_class} chirp_class={report.chirp_class}"
+    if report.xi_value is not None:
+        line += f" xi={report.xi_value:.6g}"
+    return line
+
+
+def _mirror_line(
+    omega0_si: float, length_si: float, length_rate_si: float, gamma_si: float | None = None
+) -> str:
+    """SI chirp rate of a moving cavity mirror, optionally also in gamma^2."""
+    chi_si = mirror_chirp(
+        omega0_si=omega0_si, cavity_length_si=length_si, length_rate_si=length_rate_si
+    )
+    line = f"chi_si={chi_si:.16e}"
+    if gamma_si is not None:
+        line += f" chi_over_gamma2={dimensionless_chi(chi_si, gamma_si):.16e}"
+    return line
+
+
 # ------------------------------------------------------------- commands
 
 
-def cmd_simulate(ns: argparse.Namespace) -> int:
-    opt = _Options(
-        ns,
-        allowed={
-            "d", "chi", "t_end", "modes_per_gamma", "rel_tol", "sample_every",
-            "with_static", "with_markov", "out",
+@dataclass(frozen=True)
+class _Command:
+    """One subcommand: the name of the module function that does its work
+    (looked up when the command runs), the cast of every key it reads from a
+    flag or a config file, and the keys it cannot run without.  Defaults live
+    in the function's signature."""
+
+    core: str
+    help: str
+    casts: dict
+    required: tuple = ()
+
+
+COMMANDS: dict[str, _Command] = {
+    "simulate": _Command(
+        "simulate_table",
+        "discrete-bath trajectory CSV",
+        {
+            "d": float, "chi": float, "t_end": float, "modes_per_gamma": float,
+            "rel_tol": float, "sample_every": float,
+            "with_static": _parse_bool, "with_markov": _parse_bool,
         },
-    )
-    header, rows = simulate_table(
-        d=opt.get("d", required=True),
-        chi=opt.get("chi", default=0.0),
-        t_end=opt.get("t_end", required=True),
-        modes_per_gamma=opt.get("modes_per_gamma", default=10.0),
-        rel_tol=opt.get("rel_tol", default=1e-8),
-        sample_every=opt.get("sample_every", default=1e-3),
-        with_static=opt.get("with_static", cast=_parse_bool, default=False),
-        with_markov=opt.get("with_markov", cast=_parse_bool, default=False),
-    )
-    _write_table(opt.get("out", cast=str), header, rows)
-    return EXIT_OK
-
-
-def cmd_volterra(ns: argparse.Namespace) -> int:
-    opt = _Options(ns, allowed={"d", "chi", "t_end", "steps", "out"})
-    header, rows, estimate = volterra_table(
-        d=opt.get("d", required=True),
-        chi=opt.get("chi", default=0.0),
-        t_end=opt.get("t_end", required=True),
-        steps=opt.get("steps", cast=int, default=1024),
-    )
-    _write_table(opt.get("out", cast=str), header, rows)
-    print(f"richardson error estimate: {estimate:.3e}", file=sys.stderr)
-    return EXIT_OK
-
-
-def cmd_spectrum(ns: argparse.Namespace) -> int:
-    opt = _Options(
-        ns, allowed={"d", "chi", "times", "modes_per_gamma", "rel_tol", "out"}
-    )
-    header, rows = spectrum_table(
-        d=opt.get("d", required=True),
-        chi=opt.get("chi", default=0.0),
-        times=opt.get("times", cast=_parse_float_list, required=True),
-        modes_per_gamma=opt.get("modes_per_gamma", default=10.0),
-        rel_tol=opt.get("rel_tol", default=SPECTRUM_REL_TOL),
-    )
-    _write_table(opt.get("out", cast=str), header, rows)
-    return EXIT_OK
-
-
-def cmd_gamma_inf(ns: argparse.Namespace) -> int:
-    opt = _Options(
-        ns,
-        allowed={
-            "d_list", "chi_min", "chi_max", "chi_points", "fit_d", "fit_chis",
-            "fit_t_end", "rel_tol", "modes_per_gamma", "out",
+        ("d", "t_end"),
+    ),
+    "volterra": _Command(
+        "volterra_table",
+        "memory-kernel route trajectory CSV",
+        {"d": float, "chi": float, "t_end": float, "steps": int},
+        ("d", "t_end"),
+    ),
+    "gamma-inf": _Command(
+        "gamma_inf_table",
+        "flat decay rate sweep CSV",
+        {
+            "d_list": _parse_float_list, "chi_min": float, "chi_max": float,
+            "chi_points": int, "fit_d": float, "fit_chis": _parse_float_list,
+            "fit_t_end": float, "rel_tol": float, "modes_per_gamma": float,
         },
-    )
-    header, rows = gamma_inf_table(
-        d_list=opt.get("d_list", cast=_parse_float_list, required=True),
-        chi_min=opt.get("chi_min", default=1e-3),
-        chi_max=opt.get("chi_max", default=1e3),
-        chi_points=opt.get("chi_points", cast=int, default=61),
-        fit_d=opt.get("fit_d"),
-        fit_chis=opt.get("fit_chis", cast=_parse_float_list, default=None),
-        fit_t_end=opt.get("fit_t_end", default=FIT_T_END),
-        rel_tol=opt.get("rel_tol", default=SWEEP_REL_TOL),
-        modes_per_gamma=opt.get("modes_per_gamma", default=10.0),
-    )
-    _write_table(opt.get("out", cast=str), header, rows)
-    return EXIT_OK
+        ("d_list",),
+    ),
+    "spectrum": _Command(
+        "spectrum_table",
+        "bath spectrum snapshots CSV",
+        {
+            "d": float, "chi": float, "times": _parse_float_list,
+            "modes_per_gamma": float, "rel_tol": float,
+        },
+        ("d", "times"),
+    ),
+    "classify": _Command(
+        "_classify_line", "regime report (or sec5 case table)", {"d": float, "chi": float}, ("d",)
+    ),
+    "mirror": _Command(
+        "_mirror_line",
+        "mirror motion to chirp rate",
+        {"omega0_si": float, "length_si": float, "length_rate_si": float, "gamma_si": float},
+        ("omega0_si", "length_si", "length_rate_si"),
+    ),
+}
 
 
-def cmd_classify(ns: argparse.Namespace) -> int:
-    opt = _Options(ns, allowed={"d", "chi", "out"})
-    if getattr(ns, "preset", None) == "sec5":
-        header, rows = sec5_table()
-        _write_table(opt.get("out", cast=str), header, rows)
-        return EXIT_OK
-    p = ModelParams(d=opt.get("d", required=True), chi=opt.get("chi", default=0.0))
-    report = classify(p)
-    parts = [
-        f"coupling_class={report.coupling_class}",
-        f"chirp_class={report.chirp_class}",
-    ]
-    if report.xi_value is not None:
-        parts.append(f"xi={report.xi_value:.6g}")
-    _emit_line(opt.get("out", cast=str), " ".join(parts))
-    return EXIT_OK
-
-
-def cmd_mirror(ns: argparse.Namespace) -> int:
-    opt = _Options(ns, allowed={"omega0_si", "length_si", "length_rate_si", "gamma_si", "out"})
-    chi_si = mirror_chirp(
-        omega0_si=opt.get("omega0_si", required=True),
-        cavity_length_si=opt.get("length_si", required=True),
-        length_rate_si=opt.get("length_rate_si", required=True),
-    )
-    line = f"chi_si={chi_si:.16e}"
-    gamma_si = opt.get("gamma_si")
-    if gamma_si is not None:
-        line += f" chi_over_gamma2={dimensionless_chi(chi_si, gamma_si):.16e}"
-    _emit_line(opt.get("out", cast=str), line)
-    return EXIT_OK
-
-
-def run_preset(name: str, out: str | None) -> None:
-    """Regenerate one reference data set into ``out`` (or stdout)."""
-    preset = PRESETS[name]
-    kind = preset["command"]
-    if kind == "simulate":
-        header, rows = simulate_table(
-            d=preset["d"],
-            chi=preset["chi"],
-            t_end=preset["t_end"],
-            with_static=preset.get("with_static", False),
-            with_markov=preset.get("with_markov", False),
+def _run(ns: argparse.Namespace) -> None:
+    """Run one subcommand.  Each key takes its value from the first layer
+    that sets it: flags, then the config file, then the preset.  Strings are
+    cast here; keys nobody set are left to the core's defaults.  A preset
+    with its own ``core`` names a table that reads no keys."""
+    spec = COMMANDS[ns.command]
+    preset = PRESETS[ns.preset] if getattr(ns, "preset", None) else {}
+    core, casts, required = spec.core, spec.casts, spec.required
+    if "core" in preset:
+        core, casts, required = preset["core"], {}, ()
+    casts = {**casts, "out": str}
+    config = _read_config(ns.config) if ns.config else {}
+    unknown = set(config) - set(casts)
+    if unknown:
+        raise ValidationError(
+            f"unknown config keys for this command: {', '.join(sorted(unknown))}"
         )
-        _write_table(out, header, rows)
-    elif kind == "spectrum":
-        header, rows = spectrum_table(d=preset["d"], chi=preset["chi"], times=preset["times"])
-        _write_table(out, header, rows)
-    elif kind == "gamma-inf":
-        header, rows = gamma_inf_table(
-            d_list=preset["d_list"],
-            chi_min=preset["chi_min"],
-            chi_max=preset["chi_max"],
-            chi_points=preset["chi_points"],
-            fit_d=preset["fit_d"],
-            fit_chis=preset["fit_chis"],
-        )
-        _write_table(out, header, rows)
-    else:
-        header, rows = sec5_table()
-        _write_table(out, header, rows)
-
-
-def cmd_paper_figures(ns: argparse.Namespace) -> int:
-    out_dir = Path(ns.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for name in PRESET_ORDER:
-        run_preset(name, str(out_dir / f"{name}.csv"))
-    return EXIT_OK
+    kw = {}
+    for key, cast in casts.items():
+        for value in (getattr(ns, key, None), config.get(key), preset.get(key)):
+            if value is not None:
+                break
+        else:
+            continue
+        if isinstance(value, str):
+            try:
+                value = cast(value)
+            except (ValueError, OverflowError) as exc:
+                raise ValidationError(f"cannot interpret {key} = {value!r}: {exc}") from exc
+        kw[key] = value
+    missing = [key for key in required if key not in kw]
+    if missing:
+        raise ValidationError(f"missing required parameter: {', '.join(missing)}")
+    out = kw.pop("out", None)
+    _write(out, globals()[core](**kw))
 
 
 # --------------------------------------------------------------- parser
-
-
-def _add_common(sp: argparse.ArgumentParser, presets: list[str]) -> None:
-    sp.add_argument("--config", default=None, help="key=value config file; flags win")
-    if presets:
-        sp.add_argument("--preset", choices=presets, default=None)
-    sp.add_argument("--out", default=None, help="output path (default: stdout)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -506,80 +425,45 @@ def build_parser() -> argparse.ArgumentParser:
         description="Decay of a two-level emitter in a frequency-chirped Lorentzian bath",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("simulate", help="discrete-bath trajectory CSV")
-    _add_common(sp, ["fig4", "fig6", "fig7", "fig8"])
-    sp.add_argument("--d", type=float)
-    sp.add_argument("--chi", type=float)
-    sp.add_argument("--t-end", dest="t_end", type=float)
-    sp.add_argument("--modes-per-gamma", dest="modes_per_gamma", type=float)
-    sp.add_argument("--rel-tol", dest="rel_tol", type=float)
-    sp.add_argument("--sample-every", dest="sample_every", type=float)
-    sp.add_argument("--with-static", dest="with_static", action="store_true", default=None)
-    sp.add_argument("--with-markov", dest="with_markov", action="store_true", default=None)
-    sp.set_defaults(func=cmd_simulate)
-
-    sp = sub.add_parser("volterra", help="memory-kernel route trajectory CSV")
-    _add_common(sp, [])
-    sp.add_argument("--d", type=float)
-    sp.add_argument("--chi", type=float)
-    sp.add_argument("--t-end", dest="t_end", type=float)
-    sp.add_argument("--steps", type=int)
-    sp.set_defaults(func=cmd_volterra)
-
-    sp = sub.add_parser("gamma-inf", help="flat decay rate sweep CSV")
-    _add_common(sp, ["fig5"])
-    sp.add_argument("--d-list", dest="d_list")
-    sp.add_argument("--chi-min", dest="chi_min", type=float)
-    sp.add_argument("--chi-max", dest="chi_max", type=float)
-    sp.add_argument("--chi-points", dest="chi_points", type=int)
-    sp.add_argument("--fit-d", dest="fit_d", type=float)
-    sp.add_argument("--fit-chis", dest="fit_chis")
-    sp.add_argument("--fit-t-end", dest="fit_t_end", type=float)
-    sp.add_argument("--rel-tol", dest="rel_tol", type=float)
-    sp.add_argument("--modes-per-gamma", dest="modes_per_gamma", type=float)
-    sp.set_defaults(func=cmd_gamma_inf)
-
-    sp = sub.add_parser("spectrum", help="bath spectrum snapshots CSV")
-    _add_common(sp, ["fig2", "fig9"])
-    sp.add_argument("--d", type=float)
-    sp.add_argument("--chi", type=float)
-    sp.add_argument("--times", help="comma-separated snapshot times")
-    sp.add_argument("--modes-per-gamma", dest="modes_per_gamma", type=float)
-    sp.add_argument("--rel-tol", dest="rel_tol", type=float)
-    sp.set_defaults(func=cmd_spectrum)
-
-    sp = sub.add_parser("classify", help="regime report (or sec5 case table)")
-    _add_common(sp, ["sec5"])
-    sp.add_argument("--d", type=float)
-    sp.add_argument("--chi", type=float)
-    sp.set_defaults(func=cmd_classify)
-
-    sp = sub.add_parser("mirror", help="mirror motion to chirp rate")
-    _add_common(sp, [])
-    sp.add_argument("--omega0-si", dest="omega0_si", type=float)
-    sp.add_argument("--length-si", dest="length_si", type=float)
-    sp.add_argument("--length-rate-si", dest="length_rate_si", type=float)
-    sp.add_argument("--gamma-si", dest="gamma_si", type=float)
-    sp.set_defaults(func=cmd_mirror)
-
+    for name, spec in COMMANDS.items():
+        sp = sub.add_parser(name, help=spec.help)
+        sp.add_argument("--config", help="key=value config file; flags win")
+        presets = [p for p, preset in PRESETS.items() if preset["command"] == name]
+        if presets:
+            sp.add_argument("--preset", choices=presets)
+        sp.add_argument("--out", help="output path (default: stdout)")
+        for key, cast in spec.casts.items():
+            flag = "--" + key.replace("_", "-")
+            if cast is _parse_bool:
+                sp.add_argument(flag, dest=key, action="store_true", default=None)
+            elif cast is _parse_float_list:
+                sp.add_argument(flag, dest=key, help="comma-separated numbers")
+            else:
+                sp.add_argument(flag, dest=key)
     sp = sub.add_parser("paper-figures", help="regenerate every preset into a directory")
     sp.add_argument("--out", required=True, help="output directory")
-    sp.set_defaults(func=cmd_paper_figures)
-
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    ns = build_parser().parse_args(argv)
+    parser = build_parser()
+    ns = parser.parse_args(argv)
     try:
-        return ns.func(ns)
-    except ValidationError as exc:
+        if ns.command != "paper-figures":
+            _run(ns)
+        else:
+            out_dir = Path(ns.out)
+            out_dir.mkdir(parents=True, exist_ok=True)
+            for name, preset in PRESETS.items():
+                out = str(out_dir / f"{name}.csv")
+                _run(parser.parse_args([preset["command"], "--preset", name, "--out", out]))
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
+    return EXIT_OK
 
 
 if __name__ == "__main__":

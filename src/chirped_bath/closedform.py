@@ -4,9 +4,8 @@ exponential), weak-coupling rates, the high-chirp Markovian rate built on
 |K_0(i y)|^2, its large-chirp asymptote, and the low-chirp perturbed Rabi
 frequency.
 
-The Bessel pair J_0/Y_0 is evaluated in-module by a two-regime scheme
-(power/log series below x = 10, Hankel amplitude-phase asymptotics above) so
-the special-function path stays independently testable against quadrature.
+The Bessel pair J_0/Y_0 comes from ``scipy.special``; the acceptance suite
+checks |K_0(i y)|^2 built from it against direct quadrature.
 """
 
 from __future__ import annotations
@@ -15,14 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
+from scipy.special import j0, y0
 
-from .dynamics import Trajectory
+from .dynamics import DEFAULT_SAMPLE_EVERY, Trajectory, _sample_times
 from .errors import ValidationError
 from .model import ModelParams, rabi_frequency, xi
-
-EULER_GAMMA = 0.5772156649015329
-_BESSEL_SERIES_CUT = 10.0
-_PSEUDOMODE_SAMPLE_EVERY = 1e-3
 
 PERTURBED_RABI_MIN_D = 4.0
 PERTURBED_RABI_MAX_XI = 0.2
@@ -47,17 +43,16 @@ class PseudomodeState:
     b: complex
 
 
-def pseudomode_solve(p: ModelParams, t_end: float, tol: float = 1e-10) -> Trajectory:
+def pseudomode_solve(p: ModelParams, t_end: float) -> Trajectory:
     """Propagate the two-amplitude pseudomode pair for the static bath:
     dc_a/dt = -i d b,  db/dt = -i d c_a - b.
 
     The pair has constant coefficients, so it is advanced exactly by the
     matrix exponential of its generator: one exp(G h) for the sample spacing
-    h, applied from sample to sample, and one more for the shorter last
-    interval ending at t_end. ``expm`` stays exact at the critical point
-    d = 1/2, where the generator is defective. The result is accurate to
-    rounding (about 1e-13), so any ``tol`` above that is met whatever its
-    value; the argument is kept for callers that pass it.
+    h, applied from sample to sample, and one more for the last interval,
+    which ends at t_end. ``expm`` stays exact at the critical point d = 1/2,
+    where the generator is defective. The result is accurate to rounding
+    (about 1e-13). The sample times are those of the discrete-bath route.
 
     Valid only for chi = 0 (the pair represents the static Lorentzian
     memory exactly); any chirp is rejected rather than extrapolated.
@@ -66,11 +61,11 @@ def pseudomode_solve(p: ModelParams, t_end: float, tol: float = 1e-10) -> Trajec
         raise ValidationError(
             f"the pseudomode pair is exact only for a static bath; got chi = {p.chi}"
         )
-    if not t_end > 0:
-        raise ValidationError(f"t_end must be positive, got {t_end}")
+    if not 0 < t_end < np.inf:
+        raise ValidationError(f"t_end must be positive and finite, got {t_end}")
     gen = np.array([[0.0, -1j * p.d], [-1j * p.d, -1.0]])
-    times = np.append(np.arange(0.0, t_end, _PSEUDOMODE_SAMPLE_EVERY), t_end)
-    step = expm(gen * _PSEUDOMODE_SAMPLE_EVERY)
+    times = _sample_times(0.0, t_end, DEFAULT_SAMPLE_EVERY)
+    step = expm(gen * DEFAULT_SAMPLE_EVERY)
     samples = np.empty((times.size, 2), dtype=complex)
     samples[0] = (1.0, 0.0)
     for i in range(1, times.size - 1):
@@ -90,93 +85,12 @@ def weak_gamma_t(t, p: ModelParams):
     return out if out.ndim else float(out)
 
 
-def _j0_series(x: float) -> float:
-    q = 0.25 * x * x
-    term, total = 1.0, 1.0
-    for m in range(1, 200):
-        term *= -q / (m * m)
-        total += term
-        if abs(term) < 1e-17 * abs(total):
-            break
-    return total
-
-
-def _y0_series(x: float) -> float:
-    q = 0.25 * x * x
-    term = 1.0
-    harmonic = 0.0
-    total = 0.0
-    for m in range(1, 200):
-        term *= -q / (m * m)
-        harmonic += 1.0 / m
-        total -= term * harmonic
-        if abs(term) * (harmonic + 1.0) < 1e-17 * max(abs(total), 1e-300):
-            break
-    return (2.0 / np.pi) * ((np.log(0.5 * x) + EULER_GAMMA) * _j0_series(x) + total)
-
-
-def _hankel_pq(x: float) -> tuple[float, float]:
-    """Amplitude-phase coefficients: P + iQ = sum_k i^k a_k / x^k with
-    a_{k+1} = -a_k (2k+1)^2 / (8(k+1)), truncated where the series turns."""
-    a = 1.0
-    p_sum, q_sum = 1.0, 0.0
-    xk = 1.0
-    prev = np.inf
-    for k in range(40):
-        a_next = -a * (2 * k + 1) ** 2 / (8.0 * (k + 1))
-        xk *= x
-        term = a_next / xk
-        if abs(term) >= prev:
-            break
-        prev = abs(term)
-        r = (k + 1) % 4
-        if r == 0:
-            p_sum += term
-        elif r == 1:
-            q_sum += term
-        elif r == 2:
-            p_sum -= term
-        else:
-            q_sum -= term
-        a = a_next
-    return p_sum, q_sum
-
-
-def j0(x: float) -> float:
-    """Bessel function of the first kind, order zero."""
-    x = abs(float(x))
-    if x < _BESSEL_SERIES_CUT:
-        return _j0_series(x)
-    p_sum, q_sum = _hankel_pq(x)
-    w = x - 0.25 * np.pi
-    return np.sqrt(2.0 / (np.pi * x)) * (p_sum * np.cos(w) - q_sum * np.sin(w))
-
-
-def y0(x: float) -> float:
-    """Bessel function of the second kind, order zero (x > 0)."""
-    x = float(x)
-    if x <= 0:
-        raise ValidationError(f"y0 requires x > 0, got {x}")
-    if x < _BESSEL_SERIES_CUT:
-        return _y0_series(x)
-    p_sum, q_sum = _hankel_pq(x)
-    w = x - 0.25 * np.pi
-    return np.sqrt(2.0 / (np.pi * x)) * (p_sum * np.sin(w) + q_sum * np.cos(w))
-
-
 def bessel_k0i_abs2(y: float) -> float:
-    """|K_0(i y)|^2 = (pi^2/4)(J_0(y)^2 + Y_0(y)^2) for y > 0.
-
-    Above the series cut the amplitude form (pi/(2y))(P^2 + Q^2) is used
-    directly, avoiding the oscillatory phase entirely.
-    """
+    """|K_0(i y)|^2 = (pi^2/4)(J_0(y)^2 + Y_0(y)^2) for y > 0."""
     y = float(y)
     if y <= 0:
         raise ValidationError(f"bessel_k0i_abs2 requires y > 0, got {y}")
-    if y < _BESSEL_SERIES_CUT:
-        return 0.25 * np.pi**2 * (j0(y) ** 2 + y0(y) ** 2)
-    p_sum, q_sum = _hankel_pq(y)
-    return 0.5 * np.pi / y * (p_sum * p_sum + q_sum * q_sum)
+    return float(0.25 * np.pi**2 * (j0(y) ** 2 + y0(y) ** 2))
 
 
 def gamma_infinity(p: ModelParams) -> float:

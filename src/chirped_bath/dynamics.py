@@ -14,7 +14,7 @@ import numpy as np
 
 from . import _rk
 from .errors import GridCoverageError, SolverError, ValidationError
-from .model import BathGrid, ModelParams, base_half_window
+from .model import BathGrid, ModelParams, _coupling, _window_half_widths
 
 DEFAULT_SAMPLE_EVERY = 1e-3
 
@@ -77,14 +77,12 @@ def norm(state: AmplitudeState) -> float:
 
 def _make_rhs(detunings: np.ndarray, spacing: float, p: ModelParams, envelope_center: float):
     det_eff = np.asarray(detunings, dtype=float) - envelope_center
-    coef = spacing * p.d * p.d / np.pi
     chi = p.chi
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         c_a = y[0]
         c_modes = y[1:]
-        inst = det_eff + chi * t
-        g = np.sqrt(coef / (1.0 + inst * inst))
+        g = _coupling(det_eff + chi * t, spacing, p)
         gp = g * np.exp(-1j * (det_eff * t + 0.5 * chi * t * t))
         dy = np.empty_like(y)
         dy[0] = -1j * np.dot(gp, c_modes)
@@ -95,12 +93,11 @@ def _make_rhs(detunings: np.ndarray, spacing: float, p: ModelParams, envelope_ce
 
 
 def _check_coverage(grid: BathGrid, p: ModelParams, t_end: float, center: float) -> None:
-    base = base_half_window(p)
     w_low = -(grid.window[0] - center)
     w_high = grid.window[1] - center
-    need_low = base + max(0.0, p.chi * t_end)
-    need_high = base + max(0.0, -p.chi * t_end)
-    slack = 1e-9 * max(1.0, base)
+    need_low, need_high = _window_half_widths(p, t_end)
+    # min(need_low, need_high) is the static half-width
+    slack = 1e-9 * max(1.0, min(need_low, need_high))
     if w_low < need_low - slack or w_high < need_high - slack:
         raise GridCoverageError(
             f"grid window [{-w_low:.3f}, {w_high:.3f}] leaves significantly coupled "

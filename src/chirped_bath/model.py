@@ -34,19 +34,17 @@ _KERNEL_TAIL_BUDGET = 5e-10
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Dimensionless configuration: coupling weight ``d`` (in gamma), chirp
-    rate ``chi`` (in gamma^2), and an optional SI anchor ``gamma_si`` (s^-1).
-    """
+    """Dimensionless configuration: coupling weight ``d`` (in gamma) and chirp
+    rate ``chi`` (in gamma^2), both finite."""
 
     d: float
     chi: float = 0.0
-    gamma_si: float | None = None
 
     def __post_init__(self) -> None:
-        if not self.d > 0:
-            raise ValidationError(f"coupling weight d must be positive, got {self.d}")
-        if self.gamma_si is not None and not self.gamma_si > 0:
-            raise ValidationError(f"gamma_si must be positive when given, got {self.gamma_si}")
+        if not 0 < self.d < np.inf:
+            raise ValidationError(f"coupling weight d must be positive and finite, got {self.d}")
+        if not np.isfinite(self.chi):
+            raise ValidationError(f"chirp rate chi must be finite, got {self.chi}")
 
 
 @dataclass(frozen=True)
@@ -102,6 +100,12 @@ def chirped_detuning(delta0, t: float, chi: float):
     return delta0 + chi * t
 
 
+def _coupling(inst, spacing: float, p: ModelParams):
+    """Real coupling g of a grid mode at instantaneous detuning ``inst``:
+    g^2 = spacing * structure_function(inst)."""
+    return np.sqrt((spacing * p.d * p.d / np.pi) / (1.0 + inst * inst))
+
+
 def coupling_at(delta0, t: float, grid: BathGrid, p: ModelParams):
     """Real coupling of the grid mode at initial detuning ``delta0`` at time t.
 
@@ -113,15 +117,23 @@ def coupling_at(delta0, t: float, grid: BathGrid, p: ModelParams):
     tol = 1e-9 * grid.spacing
     if np.any(d0 < lo - tol) or np.any(d0 > hi + tol):
         raise ValidationError(f"detuning {delta0} lies outside the grid window [{lo}, {hi}]")
-    g = np.sqrt(grid.spacing * structure_function(chirped_detuning(d0, t, p.chi), p))
+    g = _coupling(chirped_detuning(d0, t, p.chi), grid.spacing, p)
     return g if g.ndim else float(g)
 
 
-def base_half_window(p: ModelParams) -> float:
-    """Static half-window of the detuning grid for the given coupling."""
+def _window_half_widths(p: ModelParams, horizon: float) -> tuple[float, float]:
+    """Half-widths (below, above zero detuning) of the window that holds every
+    significantly coupled mode over [0, horizon].
+
+    The static half-width covers the Rabi half-splitting plus a pad (or a
+    fixed width at weak coupling); the side modes flow in from is widened by
+    |chi|*horizon, so every mode reaching resonance already exists at t=0.
+    """
     if 2.0 * p.d <= 1.0:
-        return WEAK_HALF_WINDOW
-    return 0.5 * np.sqrt(4.0 * p.d * p.d - 1.0) + STRONG_WINDOW_PAD
+        base = WEAK_HALF_WINDOW
+    else:
+        base = 0.5 * np.sqrt(4.0 * p.d * p.d - 1.0) + STRONG_WINDOW_PAD
+    return base + max(0.0, p.chi * horizon), base + max(0.0, -p.chi * horizon)
 
 
 def build_grid(
@@ -132,18 +144,15 @@ def build_grid(
 ) -> BathGrid:
     """Construct a bath grid that stays resolved over ``[0, horizon]``.
 
-    The window is widened on the side modes flow in from, by |chi|*horizon,
-    so that every mode reaching resonance during the run already exists at
-    t=0.  Boundaries snap outward to integer multiples of the spacing.
+    The window follows ``_window_half_widths``; its boundaries snap outward
+    to integer multiples of the spacing.
     """
-    if not horizon > 0:
-        raise ValidationError(f"horizon must be positive, got {horizon}")
-    if not modes_per_gamma >= 1:
-        raise ValidationError(f"modes_per_gamma must be >= 1, got {modes_per_gamma}")
+    if not 0 < horizon < np.inf:
+        raise ValidationError(f"horizon must be positive and finite, got {horizon}")
+    if not 1 <= modes_per_gamma < np.inf:
+        raise ValidationError(f"modes_per_gamma must be >= 1 and finite, got {modes_per_gamma}")
     spacing = 1.0 / float(modes_per_gamma)
-    base = base_half_window(p)
-    w_low = base + max(0.0, p.chi * horizon)
-    w_high = base + max(0.0, -p.chi * horizon)
+    w_low, w_high = _window_half_widths(p, horizon)
     n_low = int(np.ceil(w_low / spacing - 1e-12))
     n_high = int(np.ceil(w_high / spacing - 1e-12))
     count = n_low + n_high + 1

@@ -3,9 +3,10 @@ for the emitter amplitude, dc_a/dt = -int_0^t K(t - s) c_a(s) ds, by
 second-order product integration.
 
 The memory kernel of the linearly chirped Lorentzian bath depends only on
-the lag, so kernel values are cached on a one-dimensional lag lattice.  The
-solver runs the march at the requested step and at half the step and reports
-the Richardson error estimate of the finer result.
+the lag, so kernel values are computed once, on a one-dimensional lag
+lattice at half the requested step.  The solver runs the march at the
+requested step (on every other lattice point) and at half the step, and
+reports the Richardson error estimate of the finer result.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ DEFAULT_STEPS = 1024
 @dataclass(frozen=True)
 class VolterraConfig:
     steps: int = DEFAULT_STEPS
-    kernel_cache: bool = True
 
     def __post_init__(self) -> None:
         if self.steps < 16:
@@ -70,16 +70,12 @@ def solve_volterra(p: ModelParams, t_end: float, cfg: VolterraConfig | None = No
     """
     if cfg is None:
         cfg = VolterraConfig()
-    if not t_end > 0:
-        raise ValidationError(f"t_end must be positive, got {t_end}")
+    if not 0 < t_end < np.inf:
+        raise ValidationError(f"t_end must be positive and finite, got {t_end}")
     n = int(cfg.steps)
     h = t_end / n
-    if cfg.kernel_cache:
-        fine = _lag_lattice(p, 0.5 * h, 2 * n)
-        coarse = fine[::2]
-    else:
-        coarse = _lag_lattice(p, h, n)
-        fine = _lag_lattice(p, 0.5 * h, 2 * n)
+    fine = _lag_lattice(p, 0.5 * h, 2 * n)
+    coarse = fine[::2]
     c_coarse = _march(coarse, h, n)
     c_fine = _march(fine, 0.5 * h, 2 * n)
     pa_coarse = np.abs(c_coarse) ** 2

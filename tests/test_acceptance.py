@@ -20,8 +20,7 @@ VOLTERRA_STEPS = 500
 def figures_dir(tmp_path_factory):
     """All shipped presets regenerated once, shared by the criteria below."""
     out = tmp_path_factory.mktemp("figures")
-    for name in cli.PRESET_ORDER:
-        cli.run_preset(name, str(out / f"{name}.csv"))
+    assert cli.main(["paper-figures", "--out", str(out)]) == 0
     return out
 
 
@@ -68,7 +67,7 @@ def test_criterion_02_pseudomode_oracle():
     worst = 0.0
     for d in (1.0, 2.0, 8.0):
         p = cb.ModelParams(d=d)
-        traj = cb.pseudomode_solve(p, 2.0, tol=1e-10)
+        traj = cb.pseudomode_solve(p, 2.0)
         exact = np.abs(cb.static_exact_ca(traj.times, p)) ** 2
         worst = max(worst, float(np.max(np.abs(traj.pa - exact))))
     elapsed = time.perf_counter() - start

@@ -128,8 +128,7 @@ def test_spectrum_closure_column(tmp_path):
     assert np.all(table["S"] >= 0.0)
 
 
-def test_gamma_inf_sweep(tmp_path, monkeypatch):
-    monkeypatch.setenv("CHIRPED_BATH_THREADS", "1")
+def test_gamma_inf_sweep(tmp_path):
     out = tmp_path / "a.csv"
     rc = cli.main(
         [
@@ -149,6 +148,27 @@ def test_gamma_inf_sweep(tmp_path, monkeypatch):
     assert float(rows[3][2]) == pytest.approx(8.0, rel=5e-3)
     assert rows[3][4] != ""
     assert [float(r[0]) for r in rows] == sorted(float(r[0]) for r in rows)
+
+
+@pytest.mark.parametrize(
+    "argv, config, out",
+    [
+        (["simulate", "--t-end", "0.1"], "d = abc\n", "a.csv"),
+        (["simulate", "--d", "0.2", "--t-end", "inf"], None, "a.csv"),
+        (["volterra", "--d", "0.2", "--t-end", "0.5", "--chi", "inf"], None, "a.csv"),
+        (["simulate", "--d", "0.2", "--t-end", "0.1", "--chi", "nan"], None, "a.csv"),
+        (["classify", "--d", "2"], None, "missing/a.csv"),
+    ],
+    ids=["config-text", "t-end-inf", "chi-inf", "chi-nan", "out-unwritable"],
+)
+def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, config, out):
+    if config is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        argv = argv + ["--config", str(cfg)]
+    assert cli.main(argv + ["--out", str(tmp_path / out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
 
 
 def test_preset_must_match_command():

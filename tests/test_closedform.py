@@ -42,7 +42,7 @@ def test_static_exact_local_maximum():
 @pytest.mark.parametrize("d", [1.0, 2.0, 8.0])
 def test_pseudomode_matches_static_exact(d):
     p = cb.ModelParams(d=d)
-    traj = cb.pseudomode_solve(p, 1.0, tol=1e-10)
+    traj = cb.pseudomode_solve(p, 1.0)
     exact = np.abs(cb.static_exact_ca(traj.times, p)) ** 2
     assert np.max(np.abs(traj.pa - exact)) < 1e-8
 
@@ -60,8 +60,20 @@ def test_pseudomode_critical_point_exact():
     assert np.max(np.abs(traj.pa - exact)) < 1e-12
 
 
+@pytest.mark.parametrize("k", [1001, 1003, 2002, 2046])
+def test_pseudomode_end_near_sample_grid(k):
+    """An end time within rounding of a sample point (1001 * 1e-3 =
+    1.0010000000000001) is snapped onto it, not sampled twice."""
+    p = cb.ModelParams(d=2.0)
+    traj = cb.pseudomode_solve(p, k * 1e-3)
+    assert traj.times[-1] == k * 1e-3
+    assert traj.times.size == k + 1
+    exact = np.abs(cb.static_exact_ca(traj.times, p)) ** 2
+    assert np.max(np.abs(traj.pa - exact)) < 1e-12
+
+
 def test_pseudomode_state_series():
-    traj = cb.pseudomode_solve(cb.ModelParams(d=2.0), 0.5, tol=1e-10)
+    traj = cb.pseudomode_solve(cb.ModelParams(d=2.0), 0.5)
     assert len(traj.states) == traj.times.size
     first = traj.states[0]
     assert isinstance(first, cb.PseudomodeState)
@@ -80,7 +92,7 @@ def test_pseudomode_weak_coupling_rate():
     exact pole sits at (1 - sqrt(1 - 4 d^2))/2 per amplitude, so a
     few-percent offset is the honest size of the approximation at d = 0.2."""
     p = cb.ModelParams(d=0.2)
-    traj = cb.pseudomode_solve(p, 20.0, tol=1e-10)
+    traj = cb.pseudomode_solve(p, 20.0)
     mask = traj.times >= 2.0
     ratio = traj.pa[mask] / np.exp(-0.08 * traj.times[mask])
     assert np.max(np.abs(ratio - 1.0)) < 0.08

@@ -29,8 +29,6 @@ def test_params_validation():
         ModelParams(d=0.0)
     with pytest.raises(ValidationError):
         ModelParams(d=-1.0)
-    with pytest.raises(ValidationError):
-        ModelParams(d=1.0, gamma_si=-2.0e7)
     ModelParams(d=1.0, chi=-5.0)  # negative chirp is a legitimate sweep direction
 
 

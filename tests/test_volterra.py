@@ -42,13 +42,6 @@ def test_richardson_estimate_bounds_step_halving():
     assert actual < 4.0 * sol.richardson_error
 
 
-def test_kernel_cache_is_transparent():
-    p = cb.ModelParams(d=8.0, chi=20.0)
-    on = cb.solve_volterra(p, 1.0, cb.VolterraConfig(steps=128))
-    off = cb.solve_volterra(p, 1.0, cb.VolterraConfig(steps=128, kernel_cache=False))
-    assert np.max(np.abs(on.pa - off.pa)) < 1e-14
-
-
 def test_vanishing_coupling_keeps_population():
     sol = cb.solve_volterra(cb.ModelParams(d=1e-4), 1.0, cb.VolterraConfig(steps=64))
     assert np.max(np.abs(sol.pa - 1.0)) < 1e-6
