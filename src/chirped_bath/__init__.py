@@ -19,7 +19,6 @@ from .analysis import (
     mirror_chirp,
 )
 from .closedform import (
-    PseudomodeState,
     bessel_k0i_abs2,
     gamma_infinity,
     gamma_infinity_asymptotic,
@@ -36,7 +35,6 @@ from .dynamics import (
     Trajectory,
     evolve,
     init_state,
-    norm,
 )
 from .errors import (
     GridCoverageError,
@@ -76,7 +74,6 @@ __all__ = [
     "GridCoverageError",
     "IntegratorConfig",
     "ModelParams",
-    "PseudomodeState",
     "QuadratureError",
     "RabiMeasurement",
     "RegimeReport",
@@ -104,7 +101,6 @@ __all__ = [
     "longtime_spectrum",
     "markovian_ca",
     "mirror_chirp",
-    "norm",
     "numeric_spectrum",
     "perturbed_rabi",
     "pseudomode_solve",

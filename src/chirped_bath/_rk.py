@@ -29,9 +29,10 @@ _E = _B5 - _B4
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
+_ABS_TOL = 1e-10
 
 
-def integrate(rhs, t0, y0, sample_times, rel_tol=1e-8, abs_tol=1e-10, max_step=np.inf):
+def integrate(rhs, t0, y0, sample_times, rel_tol=1e-8):
     """Advance ``dy/dt = rhs(t, y)`` from ``t0``, sampling at ``sample_times``.
 
     Returns ``(samples, n_steps)`` where samples has one state row per sample
@@ -48,10 +49,10 @@ def integrate(rhs, t0, y0, sample_times, rel_tol=1e-8, abs_tol=1e-10, max_step=n
     k = [np.empty_like(y) for _ in range(7)]
     k[0] = rhs(t, y)
 
-    scale = abs_tol + rel_tol * np.abs(y)
+    scale = _ABS_TOL + rel_tol * np.abs(y)
     d0 = np.sqrt(np.mean(np.abs(y / scale) ** 2))
     d1 = np.sqrt(np.mean(np.abs(k[0] / scale) ** 2))
-    h = min(max_step, 0.01 * d0 / d1 if d1 > 1e-10 else 1e-6)
+    h = 0.01 * d0 / d1 if d1 > 1e-10 else 1e-6
     err_prev = 1.0
     n_steps = 0
 
@@ -64,7 +65,7 @@ def integrate(rhs, t0, y0, sample_times, rel_tol=1e-8, abs_tol=1e-10, max_step=n
             k[i] = rhs(t + _C[i] * h_use, yi)
         y5 = y + h_use * sum(_B5[j] * k[j] for j in range(7) if _B5[j] != 0.0)
         err_vec = h_use * sum(_E[j] * k[j] for j in range(7) if _E[j] != 0.0)
-        scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y5))
+        scale = _ABS_TOL + rel_tol * np.maximum(np.abs(y), np.abs(y5))
         err = np.sqrt(np.mean(np.abs(err_vec / scale) ** 2))
         if err <= 1.0:
             t = t_target if clipped else t + h_use
@@ -76,7 +77,7 @@ def integrate(rhs, t0, y0, sample_times, rel_tol=1e-8, abs_tol=1e-10, max_step=n
                 idx += 1
             fac = _SAFETY * (err + 1e-16) ** -0.14 * err_prev**0.08
             err_prev = max(err, 1e-16)
-            h = min(max_step, h_use * min(_MAX_FACTOR, max(_MIN_FACTOR, fac)))
+            h = h_use * min(_MAX_FACTOR, max(_MIN_FACTOR, fac))
         else:
             h = h_use * max(_MIN_FACTOR, _SAFETY * err**-0.2)
         if h < 1e-14 * max(1.0, abs(t)):

@@ -161,13 +161,17 @@ def extract_rabi(traj: Trajectory) -> RabiMeasurement:
 def mirror_chirp(omega0_si: float, cavity_length_si: float, length_rate_si: float) -> float:
     """Chirp rate (s^-2) produced by sweeping the outer mirror of a cavity:
     chi = -(omega0 / L) dL/dt.  Shrinking the cavity chirps upward."""
-    if not cavity_length_si > 0:
-        raise ValidationError(f"cavity length must be positive, got {cavity_length_si}")
+    if not 0 < omega0_si < np.inf:
+        raise ValidationError(f"omega0_si must be positive and finite, got {omega0_si}")
+    if not 0 < cavity_length_si < np.inf:
+        raise ValidationError(f"cavity length must be positive and finite, got {cavity_length_si}")
+    if not np.isfinite(length_rate_si):
+        raise ValidationError(f"length rate must be finite, got {length_rate_si}")
     return -(omega0_si / cavity_length_si) * length_rate_si
 
 
 def dimensionless_chi(chi_si: float, gamma_si: float) -> float:
     """Convert a laboratory chirp rate (s^-2) to linewidth units: chi / gamma^2."""
-    if not gamma_si > 0:
-        raise ValidationError(f"gamma_si must be positive, got {gamma_si}")
+    if not 0 < gamma_si < np.inf:
+        raise ValidationError(f"gamma_si must be positive and finite, got {gamma_si}")
     return chi_si / gamma_si**2

@@ -157,7 +157,7 @@ def simulate_table(
     if with_static:
         p0 = ModelParams(d=d, chi=0.0)
         grid0 = build_grid(p0, t_end, modes_per_gamma)
-        traj0 = evolve(init_state(grid0), grid0, p0, cfg, t_end, sample_times=traj.times)
+        traj0 = evolve(init_state(grid0), grid0, p0, cfg, t_end)
         header += ["pa_static", "norm_static"]
         columns += [traj0.pa, traj0.norms]
     if with_markov:
@@ -219,8 +219,8 @@ def gamma_inf_table(
     points; rows are sorted by (d, chi)."""
     if not d_list:
         raise ValidationError("d_list must not be empty")
-    if chi_points < 2 or not 0 < chi_min < chi_max:
-        raise ValidationError("need chi_points >= 2 and 0 < chi_min < chi_max")
+    if chi_points < 2 or not 0 < chi_min < chi_max < np.inf:
+        raise ValidationError("need chi_points >= 2 and 0 < chi_min < chi_max < inf")
     entries: dict[tuple[float, float], list] = {}
     for d in d_list:
         for chi in np.geomspace(chi_min, chi_max, chi_points):

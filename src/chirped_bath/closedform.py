@@ -10,8 +10,6 @@ checks |K_0(i y)|^2 built from it against direct quadrature.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.linalg import expm
 from scipy.special import j0, y0
@@ -32,15 +30,6 @@ def static_exact_ca(t, p: ModelParams):
     t = np.asarray(t, dtype=float)
     out = np.exp(-0.5 * t) * (np.cos(0.5 * om * t) + np.sin(0.5 * om * t) / om)
     return out if out.ndim else float(out)
-
-
-@dataclass(frozen=True)
-class PseudomodeState:
-    """Emitter amplitude paired with the damped collective bath amplitude."""
-
-    t: float
-    c_a: complex
-    b: complex
 
 
 def pseudomode_solve(p: ModelParams, t_end: float) -> Trajectory:
@@ -71,11 +60,7 @@ def pseudomode_solve(p: ModelParams, t_end: float) -> Trajectory:
     for i in range(1, times.size - 1):
         samples[i] = step @ samples[i - 1]
     samples[-1] = expm(gen * (times[-1] - times[-2])) @ samples[-2]
-    states = [
-        PseudomodeState(t=float(t), c_a=complex(row[0]), b=complex(row[1]))
-        for t, row in zip(times, samples)
-    ]
-    return Trajectory(times=times, pa=np.abs(samples[:, 0]) ** 2, states=states)
+    return Trajectory(times=times, pa=np.abs(samples[:, 0]) ** 2)
 
 
 def weak_gamma_t(t, p: ModelParams):

@@ -10,13 +10,13 @@ SI values enter only through optional conversion at the CLI boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import sici
 
-from .errors import QuadratureError, ValidationError
+from .errors import GridCoverageError, QuadratureError, ValidationError
 
 # Half-window of the detuning grid when there is no oscillatory structure to
 # resolve (weak coupling), in units of the envelope half-width.
@@ -25,7 +25,7 @@ WEAK_HALF_WINDOW = 10.0
 # truncated Lorentzian wings bias pa by ~(2/3pi) d^2/W^3; 40 keeps that bias
 # below the 1e-3 pointwise budget at d=8 with margin.
 STRONG_WINDOW_PAD = 40.0
-DEFAULT_MODE_CAP = 2_000_000
+MODE_CAP = 2_000_000
 
 _KERNEL_EPS = 1e-11
 # Relative truncation budget for the analytic kernel tail (next omitted term).
@@ -57,7 +57,6 @@ class BathGrid:
 
     detunings: np.ndarray
     spacing: float
-    window: tuple[float, float] = field(default=(0.0, 0.0))
 
     def __post_init__(self) -> None:
         det = np.asarray(self.detunings, dtype=float)
@@ -68,8 +67,7 @@ class BathGrid:
             raise ValidationError("detunings must be strictly increasing")
         if np.max(np.abs(steps - self.spacing)) > 1e-9 * self.spacing:
             raise ValidationError("detunings must be uniformly spaced to 1 part in 1e9")
-        window = (float(det[0]), float(det[-1]))
-        expected = round((window[1] - window[0]) / self.spacing) + 1
+        expected = round((det[-1] - det[0]) / self.spacing) + 1
         if expected != det.size:
             raise ValidationError(
                 f"grid count {det.size} does not match window/spacing ({expected} expected)"
@@ -77,7 +75,10 @@ class BathGrid:
         det = det.copy()
         det.flags.writeable = False
         object.__setattr__(self, "detunings", det)
-        object.__setattr__(self, "window", window)
+
+    @property
+    def window(self) -> tuple[float, float]:
+        return float(self.detunings[0]), float(self.detunings[-1])
 
     @property
     def size(self) -> int:
@@ -121,14 +122,21 @@ def coupling_at(delta0, t: float, grid: BathGrid, p: ModelParams):
     return g if g.ndim else float(g)
 
 
-def _window_half_widths(p: ModelParams, horizon: float) -> tuple[float, float]:
+def _window_half_widths(p: ModelParams, horizon: float, spacing: float) -> tuple[float, float]:
     """Half-widths (below, above zero detuning) of the window that holds every
     significantly coupled mode over [0, horizon].
 
     The static half-width covers the Rabi half-splitting plus a pad (or a
     fixed width at weak coupling); the side modes flow in from is widened by
     |chi|*horizon, so every mode reaching resonance already exists at t=0.
+    A grid of this spacing revives at 2 pi / spacing and its error grows well
+    before that, so a horizon beyond half the revival time is refused.
     """
+    if horizon > np.pi / spacing:
+        raise GridCoverageError(
+            f"horizon {horizon:g} exceeds pi * modes_per_gamma = {np.pi / spacing:g}, half "
+            "the discrete bath's recurrence time; raise --modes-per-gamma"
+        )
     if 2.0 * p.d <= 1.0:
         base = WEAK_HALF_WINDOW
     else:
@@ -136,12 +144,7 @@ def _window_half_widths(p: ModelParams, horizon: float) -> tuple[float, float]:
     return base + max(0.0, p.chi * horizon), base + max(0.0, -p.chi * horizon)
 
 
-def build_grid(
-    p: ModelParams,
-    horizon: float,
-    modes_per_gamma: float = 10.0,
-    mode_cap: int = DEFAULT_MODE_CAP,
-) -> BathGrid:
+def build_grid(p: ModelParams, horizon: float, modes_per_gamma: float = 10.0) -> BathGrid:
     """Construct a bath grid that stays resolved over ``[0, horizon]``.
 
     The window follows ``_window_half_widths``; its boundaries snap outward
@@ -152,13 +155,13 @@ def build_grid(
     if not 1 <= modes_per_gamma < np.inf:
         raise ValidationError(f"modes_per_gamma must be >= 1 and finite, got {modes_per_gamma}")
     spacing = 1.0 / float(modes_per_gamma)
-    w_low, w_high = _window_half_widths(p, horizon)
+    w_low, w_high = _window_half_widths(p, horizon, spacing)
     n_low = int(np.ceil(w_low / spacing - 1e-12))
     n_high = int(np.ceil(w_high / spacing - 1e-12))
     count = n_low + n_high + 1
-    if count > mode_cap:
+    if count > MODE_CAP:
         raise ValidationError(
-            f"grid of {count} modes exceeds the cap {mode_cap}; "
+            f"grid of {count} modes exceeds the cap {MODE_CAP}; "
             "the horizon/chirp combination is infeasible at this density"
         )
     detunings = spacing * np.arange(-n_low, n_high + 1)
@@ -192,29 +195,18 @@ def _kernel_of_lag(tau: float, p: ModelParams) -> float:
     # Truncate where the O(x^-6) remainder of the analytic tail is negligible.
     c6 = 1.5 * (1.0 + u * u) ** 2
     cut = max(60.0, 2.0 * u + 20.0, (c6 * (2.0 / np.pi) / _KERNEL_TAIL_BUDGET) ** 0.2)
-    if tau * cut > 2.0:
-        res = quad(
-            _kernel_envelope,
-            0.0,
-            cut,
-            args=(u,),
-            weight="cos",
-            wvar=tau,
-            epsabs=_KERNEL_EPS,
-            epsrel=_KERNEL_EPS,
-            limit=int(tau * cut / np.pi) + 200,
-            full_output=1,
-        )
-    else:
-        res = quad(
-            lambda x: _kernel_envelope(x, u) * np.cos(tau * x),
-            0.0,
-            cut,
-            epsabs=_KERNEL_EPS,
-            epsrel=_KERNEL_EPS,
-            limit=400,
-            full_output=1,
-        )
+    res = quad(
+        _kernel_envelope,
+        0.0,
+        cut,
+        args=(u,),
+        weight="cos",
+        wvar=tau,
+        epsabs=_KERNEL_EPS,
+        epsrel=_KERNEL_EPS,
+        limit=int(tau * cut / np.pi) + 200,
+        full_output=1,
+    )
     if len(res) > 3:
         raise QuadratureError(
             f"memory-kernel quadrature did not converge at lag {tau:.6g} "

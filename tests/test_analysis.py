@@ -132,3 +132,5 @@ def test_dimensionless_chi_round_trip():
     assert chi * gamma**2 == pytest.approx(chi_si, rel=1e-12)
     with pytest.raises(cb.ValidationError):
         cb.dimensionless_chi(chi_si, 0.0)
+    with pytest.raises(cb.ValidationError):
+        cb.dimensionless_chi(chi_si, np.inf)

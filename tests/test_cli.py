@@ -158,8 +158,25 @@ def test_gamma_inf_sweep(tmp_path):
         (["volterra", "--d", "0.2", "--t-end", "0.5", "--chi", "inf"], None, "a.csv"),
         (["simulate", "--d", "0.2", "--t-end", "0.1", "--chi", "nan"], None, "a.csv"),
         (["classify", "--d", "2"], None, "missing/a.csv"),
+        (["simulate", "--d", "0.2", "--t-end", "70"], None, "a.csv"),
+        (["simulate", "--d", "0.2", "--t-end", "0.1", "--rel-tol", "inf"], None, "a.csv"),
+        pytest.param(
+            ["gamma-inf", "--d-list", "1", "--chi-min", "1", "--chi-max", "inf",
+             "--chi-points", "3"],
+            None,
+            "a.csv",
+            # pytest captures the overflow warning; only this mark makes it count
+            marks=pytest.mark.filterwarnings("error::RuntimeWarning"),
+        ),
+        (["mirror", "--omega0-si", "nan", "--length-si", "0.01", "--length-rate-si", "1"],
+         None, "a.csv"),
+        (["mirror", "--omega0-si", "-1", "--length-si", "0.01", "--length-rate-si", "1"],
+         None, "a.csv"),
     ],
-    ids=["config-text", "t-end-inf", "chi-inf", "chi-nan", "out-unwritable"],
+    ids=[
+        "config-text", "t-end-inf", "chi-inf", "chi-nan", "out-unwritable",
+        "past-recurrence", "rel-tol-inf", "chi-max-inf", "mirror-nan", "mirror-negative",
+    ],
 )
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, config, out):
     if config is not None:

@@ -72,16 +72,6 @@ def test_pseudomode_end_near_sample_grid(k):
     assert np.max(np.abs(traj.pa - exact)) < 1e-12
 
 
-def test_pseudomode_state_series():
-    traj = cb.pseudomode_solve(cb.ModelParams(d=2.0), 0.5)
-    assert len(traj.states) == traj.times.size
-    first = traj.states[0]
-    assert isinstance(first, cb.PseudomodeState)
-    assert first.c_a == 1.0 + 0.0j
-    assert first.b == 0.0 + 0.0j
-    assert traj.states[-1].t == pytest.approx(0.5)
-
-
 def test_pseudomode_rejects_chirp():
     with pytest.raises(cb.ValidationError):
         cb.pseudomode_solve(cb.ModelParams(d=2.0, chi=1.0), 1.0)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import chirped_bath as cb
+from chirped_bath import dynamics
 
 
 def _run(p, t_end, **kw):
@@ -18,7 +19,7 @@ def test_init_state_and_norm():
     assert state.t == 0.0
     assert state.c_a == 1.0 + 0.0j
     assert not state.c_modes.any()
-    assert cb.norm(state) == pytest.approx(1.0, rel=1e-15)
+    assert abs(state.c_a) ** 2 + np.sum(np.abs(state.c_modes) ** 2) == pytest.approx(1.0, rel=1e-15)
 
 
 def test_integrator_config_validation():
@@ -57,20 +58,6 @@ def test_mode_density_refinement_converged():
     coarse = cb.evolve(cb.init_state(coarse_grid), coarse_grid, p, None, 0.5)
     fine = cb.evolve(cb.init_state(fine_grid), fine_grid, p, None, 0.5)
     assert np.max(np.abs(coarse.pa - fine.pa)) < 1e-3
-
-
-def test_envelope_translation_gauge():
-    """Shifting the grid and the envelope center together must leave every
-    population untouched: only relative detunings are physical."""
-    shift = 5.0
-    p = cb.ModelParams(d=2.0, chi=3.0)
-    grid = cb.build_grid(p, 0.5)
-    base = cb.evolve(cb.init_state(grid), grid, p, None, 0.5)
-    moved_grid = cb.BathGrid(detunings=grid.detunings + shift, spacing=grid.spacing)
-    moved = cb.evolve(
-        cb.init_state(moved_grid), moved_grid, p, None, 0.5, envelope_center=shift
-    )
-    assert np.max(np.abs(base.pa - moved.pa)) < 1e-9
 
 
 def test_decoupled_limit_stays_excited():
@@ -112,6 +99,34 @@ def test_horizon_coverage_guard():
         cb.evolve(cb.init_state(grid), grid, p, None, 2.0)
 
 
+def test_recurrence_horizon_guard():
+    """A grid of spacing 1/modes_per_gamma revives at 2 pi modes_per_gamma;
+    horizons beyond half of that are refused, when the grid is built and
+    when an existing grid is evolved."""
+    p = cb.ModelParams(d=0.2)
+    with pytest.raises(cb.GridCoverageError, match="modes-per-gamma"):
+        cb.build_grid(p, 70.0)
+    assert cb.build_grid(p, 70.0, modes_per_gamma=30.0).spacing == pytest.approx(1 / 30)
+    grid = cb.build_grid(p, 10.0)
+    with pytest.raises(cb.GridCoverageError):
+        cb.evolve(cb.init_state(grid), grid, p, None, 40.0)
+
+
+def test_norm_drift_checked_at_every_sample(monkeypatch):
+    """A norm excursion at a middle sample fails the run even when the last
+    sample is back within budget."""
+    integrate = dynamics._rk.integrate
+
+    def bumped(*args, **kwargs):
+        samples, n_steps = integrate(*args, **kwargs)
+        samples[samples.shape[0] // 2] *= 1.0 + 1e-3
+        return samples, n_steps
+
+    monkeypatch.setattr(dynamics._rk, "integrate", bumped)
+    with pytest.raises(cb.SolverError):
+        _run(cb.ModelParams(d=0.2), 0.5)
+
+
 def test_static_grid_rejects_chirped_params():
     static_grid = cb.build_grid(cb.ModelParams(d=2.0), 1.0)
     chirped = cb.ModelParams(d=2.0, chi=50.0)
@@ -143,4 +158,4 @@ def test_store_states():
     assert traj.states[0].c_a == pytest.approx(1.0)
     last = traj.states[-1]
     assert last.t == pytest.approx(0.5)
-    assert cb.norm(last) == pytest.approx(1.0, abs=1e-8)
+    assert abs(last.c_a) ** 2 + np.sum(np.abs(last.c_modes) ** 2) == pytest.approx(1.0, abs=1e-8)
