@@ -30,11 +30,9 @@ from .closedform import (
     weak_lowchirp_gamma,
 )
 from .dynamics import (
-    AmplitudeState,
     IntegratorConfig,
     Trajectory,
     evolve,
-    init_state,
 )
 from .errors import (
     GridCoverageError,
@@ -47,11 +45,10 @@ from .model import (
     BathGrid,
     ModelParams,
     build_grid,
-    chirped_detuning,
-    coupling_at,
+    coupling,
+    memory_kernel,
     rabi_frequency,
     structure_function,
-    two_time_kernel,
     xi,
 )
 from .spectra import (
@@ -68,7 +65,6 @@ from .volterra import VolterraConfig, VolterraSolution, solve_volterra
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmplitudeState",
     "BathGrid",
     "DecayFit",
     "GridCoverageError",
@@ -87,9 +83,8 @@ __all__ = [
     "analytic_static_spectrum",
     "bessel_k0i_abs2",
     "build_grid",
-    "chirped_detuning",
     "classify",
-    "coupling_at",
+    "coupling",
     "detached_peak_area",
     "dimensionless_chi",
     "evolve",
@@ -97,9 +92,9 @@ __all__ = [
     "fit_decay",
     "gamma_infinity",
     "gamma_infinity_asymptotic",
-    "init_state",
     "longtime_spectrum",
     "markovian_ca",
+    "memory_kernel",
     "mirror_chirp",
     "numeric_spectrum",
     "perturbed_rabi",
@@ -110,7 +105,6 @@ __all__ = [
     "static_ck",
     "static_exact_ca",
     "structure_function",
-    "two_time_kernel",
     "weak_gamma_t",
     "weak_lowchirp_gamma",
     "xi",

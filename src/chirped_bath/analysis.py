@@ -167,11 +167,20 @@ def mirror_chirp(omega0_si: float, cavity_length_si: float, length_rate_si: floa
         raise ValidationError(f"cavity length must be positive and finite, got {cavity_length_si}")
     if not np.isfinite(length_rate_si):
         raise ValidationError(f"length rate must be finite, got {length_rate_si}")
-    return -(omega0_si / cavity_length_si) * length_rate_si
+    chi_si = -(omega0_si / cavity_length_si) * length_rate_si
+    if not np.isfinite(chi_si):
+        raise ValidationError(f"chirp rate {chi_si} s^-2 is out of floating-point range")
+    return chi_si
 
 
 def dimensionless_chi(chi_si: float, gamma_si: float) -> float:
     """Convert a laboratory chirp rate (s^-2) to linewidth units: chi / gamma^2."""
     if not 0 < gamma_si < np.inf:
         raise ValidationError(f"gamma_si must be positive and finite, got {gamma_si}")
-    return chi_si / gamma_si**2
+    gamma2 = gamma_si * gamma_si
+    if not np.finfo(float).tiny <= gamma2 < np.inf:
+        raise ValidationError(f"gamma_si^2 = {gamma2} is out of floating-point range")
+    chi = chi_si / gamma2
+    if not np.isfinite(chi):
+        raise ValidationError(f"chi_si / gamma_si^2 = {chi} is out of floating-point range")
+    return chi

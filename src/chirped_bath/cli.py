@@ -21,7 +21,7 @@ import numpy as np
 
 from .analysis import classify, dimensionless_chi, fit_decay, mirror_chirp
 from .closedform import gamma_infinity
-from .dynamics import IntegratorConfig, evolve, init_state
+from .dynamics import IntegratorConfig, evolve
 from .errors import SolverError, ValidationError
 from .model import ModelParams, build_grid, xi
 from .spectra import numeric_spectrum, spectrum_closure
@@ -151,13 +151,13 @@ def simulate_table(
     p = ModelParams(d=d, chi=chi)
     grid = build_grid(p, t_end, modes_per_gamma)
     cfg = IntegratorConfig(rel_tol=rel_tol, sample_every=sample_every)
-    traj = evolve(init_state(grid), grid, p, cfg, t_end)
+    traj = evolve(grid, p, t_end, cfg)
     header = ["t", "pa", "norm"]
     columns = [traj.times, traj.pa, traj.norms]
     if with_static:
         p0 = ModelParams(d=d, chi=0.0)
         grid0 = build_grid(p0, t_end, modes_per_gamma)
-        traj0 = evolve(init_state(grid0), grid0, p0, cfg, t_end)
+        traj0 = evolve(grid0, p0, t_end, cfg)
         header += ["pa_static", "norm_static"]
         columns += [traj0.pa, traj0.norms]
     if with_markov:
@@ -190,17 +190,12 @@ def spectrum_table(
     t_end = float(snap[-1])
     grid = build_grid(p, t_end, modes_per_gamma)
     cfg = IntegratorConfig(rel_tol=rel_tol)
-    traj = evolve(
-        init_state(grid), grid, p, cfg, t_end, sample_times=snap, store_states=True
-    )
+    traj = evolve(grid, p, t_end, cfg, sample_times=snap, store_modes=True)
     rows = []
-    for state in traj.states:
-        series = numeric_spectrum(state, grid, p)
-        closure = spectrum_closure(series, state.c_a)
-        rows.extend(
-            (state.t, x, s, closure)
-            for x, s in zip(series.detunings_now, series.values)
-        )
+    for t, pa, c_modes in zip(traj.times, traj.pa, traj.modes):
+        series = numeric_spectrum(c_modes, t, grid, p)
+        closure = spectrum_closure(series, pa)
+        rows.extend((t, x, s, closure) for x, s in zip(series.detunings_now, series.values))
     return ["t", "detuning_now", "S", "closure"], rows
 
 
@@ -231,7 +226,7 @@ def gamma_inf_table(
     for chi in fit_chis or ():
         p = ModelParams(d=fit_d, chi=chi)
         grid = build_grid(p, fit_t_end, modes_per_gamma)
-        traj = evolve(init_state(grid), grid, p, IntegratorConfig(rel_tol=rel_tol), fit_t_end)
+        traj = evolve(grid, p, fit_t_end, IntegratorConfig(rel_tol=rel_tol))
         key = (float(fit_d), float(chi))
         if key not in entries:
             entries[key] = [gamma_infinity(p), None]

@@ -53,7 +53,7 @@ def pseudomode_solve(p: ModelParams, t_end: float) -> Trajectory:
     if not 0 < t_end < np.inf:
         raise ValidationError(f"t_end must be positive and finite, got {t_end}")
     gen = np.array([[0.0, -1j * p.d], [-1j * p.d, -1.0]])
-    times = _sample_times(0.0, t_end, DEFAULT_SAMPLE_EVERY)
+    times = _sample_times(t_end, DEFAULT_SAMPLE_EVERY)
     step = expm(gen * DEFAULT_SAMPLE_EVERY)
     samples = np.empty((times.size, 2), dtype=complex)
     samples[0] = (1.0, 0.0)

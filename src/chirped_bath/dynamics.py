@@ -14,9 +14,12 @@ import numpy as np
 
 from . import _rk
 from .errors import GridCoverageError, SolverError, ValidationError
-from .model import BathGrid, ModelParams, _coupling, _window_half_widths
+from .model import BathGrid, ModelParams, _window_half_widths, coupling
 
 DEFAULT_SAMPLE_EVERY = 1e-3
+# Largest samples x (modes + 1) complex matrix that `_rk.integrate` may
+# allocate; fig7, the largest preset, needs 209 MB.
+MAX_SAMPLE_BYTES = 2**30
 
 
 @dataclass(frozen=True)
@@ -31,21 +34,13 @@ class IntegratorConfig:
 
 
 @dataclass
-class AmplitudeState:
-    """Snapshot of the joint system: time, emitter amplitude, mode amplitudes."""
-
-    t: float
-    c_a: complex
-    c_modes: np.ndarray
-
-
-@dataclass
 class Trajectory:
-    """Time-ordered observable series with optional full-state snapshots."""
+    """Time-ordered observable series; ``modes``, when kept, holds one row
+    of mode amplitudes per sample time."""
 
     times: np.ndarray
     pa: np.ndarray
-    states: list | None = None
+    modes: np.ndarray | None = None
     norms: np.ndarray | None = None
 
     def __post_init__(self) -> None:
@@ -63,18 +58,13 @@ class Trajectory:
                 raise ValidationError("norms must match times in shape")
 
 
-def init_state(grid: BathGrid) -> AmplitudeState:
-    """Excited emitter, empty bath, t = 0."""
-    return AmplitudeState(t=0.0, c_a=1.0 + 0.0j, c_modes=np.zeros(grid.size, dtype=complex))
-
-
 def _make_rhs(det: np.ndarray, spacing: float, p: ModelParams):
     chi = p.chi
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         c_a = y[0]
         c_modes = y[1:]
-        g = _coupling(det + chi * t, spacing, p)
+        g = coupling(det + chi * t, spacing, p)
         gp = g * np.exp(-1j * (det * t + 0.5 * chi * t * t))
         dy = np.empty_like(y)
         dy[0] = -1j * np.dot(gp, c_modes)
@@ -98,9 +88,9 @@ def _check_coverage(grid: BathGrid, p: ModelParams, t_end: float) -> None:
         )
 
 
-def _sample_times(t0: float, t_end: float, every: float) -> np.ndarray:
-    n = int(np.floor((t_end - t0) / every + 1e-9))
-    ts = t0 + every * np.arange(n + 1)
+def _sample_times(t_end: float, every: float) -> np.ndarray:
+    n = int(np.floor(t_end / every + 1e-9))
+    ts = every * np.arange(n + 1)
     if ts[-1] < t_end - 1e-12 * max(1.0, abs(t_end)):
         ts = np.append(ts, t_end)
     else:
@@ -109,59 +99,54 @@ def _sample_times(t0: float, t_end: float, every: float) -> np.ndarray:
 
 
 def evolve(
-    state: AmplitudeState,
     grid: BathGrid,
     p: ModelParams,
-    cfg: IntegratorConfig | None,
     t_end: float,
+    cfg: IntegratorConfig | None = None,
     *,
     sample_times: np.ndarray | None = None,
-    store_states: bool = False,
+    store_modes: bool = False,
 ) -> Trajectory:
-    """Advance the coupled amplitude equations from ``state`` to ``t_end``.
+    """Advance the coupled amplitude equations from the excited emitter and
+    empty bath at t = 0 to ``t_end``.
 
-    Snapshots are stored only on request since high-chirp grids can hold
-    1e5-1e6 modes.  The norm may drift by at most 10 * rel_tol * (t_end - t)
-    at any sample.
+    Mode amplitudes are kept only on request since high-chirp grids can hold
+    1e5-1e6 modes.  The norm may drift by at most 10 * rel_tol * t_end at
+    any sample.
     """
     if cfg is None:
         cfg = IntegratorConfig()
-    if not t_end > state.t:
-        raise ValidationError(f"t_end must exceed the state time {state.t}, got {t_end}")
-    if state.c_modes.shape != (grid.size,):
-        raise ValidationError(
-            f"state holds {state.c_modes.size} mode amplitudes for a grid of {grid.size}"
-        )
+    if not t_end > 0:
+        raise ValidationError(f"t_end must be positive, got {t_end}")
     _check_coverage(grid, p, t_end)
 
-    if sample_times is None:
-        times = _sample_times(state.t, t_end, cfg.sample_every)
-    else:
-        times = np.asarray(sample_times, dtype=float)
-        if times.size == 0 or np.any(np.diff(times) <= 0):
-            raise ValidationError("sample_times must be non-empty and strictly increasing")
-        if times[0] < state.t - 1e-12 or times[-1] > t_end + 1e-12:
-            raise ValidationError("sample_times must lie within [state.t, t_end]")
+    times = None if sample_times is None else np.asarray(sample_times, dtype=float)
+    count = t_end / cfg.sample_every + 2 if times is None else times.size
+    size = count * (grid.size + 1) * 16.0
+    if size > MAX_SAMPLE_BYTES:
+        raise ValidationError(
+            f"{count:.3g} samples of {grid.size + 1} amplitudes need {size / 2**30:.3g} GiB, "
+            f"above the {MAX_SAMPLE_BYTES / 2**30:g} GiB limit; raise --sample-every"
+        )
+    if times is None:
+        times = _sample_times(t_end, cfg.sample_every)
+    elif times.size == 0 or np.any(np.diff(times) <= 0):
+        raise ValidationError("sample_times must be non-empty and strictly increasing")
+    elif times[0] < -1e-12 or times[-1] > t_end + 1e-12:
+        raise ValidationError("sample_times must lie within [0, t_end]")
 
-    y0 = np.empty(grid.size + 1, dtype=complex)
-    y0[0] = state.c_a
-    y0[1:] = state.c_modes
+    y0 = np.zeros(grid.size + 1, dtype=complex)
+    y0[0] = 1.0
     rhs = _make_rhs(grid.detunings, grid.spacing, p)
-    samples, _ = _rk.integrate(rhs, state.t, y0, times, rel_tol=cfg.rel_tol)
+    samples, _ = _rk.integrate(rhs, 0.0, y0, times, rel_tol=cfg.rel_tol)
     pa = np.abs(samples[:, 0]) ** 2
     norms = np.sum(np.abs(samples) ** 2, axis=1)
-    norm0 = float(np.sum(np.abs(y0) ** 2))
-    drift = float(np.max(np.abs(norms - norm0)))
-    budget = 10.0 * cfg.rel_tol * (t_end - state.t)
+    drift = float(np.max(np.abs(norms - 1.0)))
+    budget = 10.0 * cfg.rel_tol * t_end
     if drift > budget:
         raise SolverError(
-            f"norm drifted by up to {drift:.3e} over [{state.t:g}, {t_end:g}], "
+            f"norm drifted by up to {drift:.3e} over [0, {t_end:g}], "
             f"beyond the {budget:.3e} budget for rel_tol = {cfg.rel_tol:g}"
         )
-    states = None
-    if store_states:
-        states = [
-            AmplitudeState(t=float(t), c_a=complex(row[0]), c_modes=row[1:].copy())
-            for t, row in zip(times, samples)
-        ]
-    return Trajectory(times=times, pa=pa, states=states, norms=norms)
+    modes = samples[:, 1:] if store_modes else None
+    return Trajectory(times=times, pa=pa, modes=modes, norms=norms)

@@ -96,30 +96,13 @@ def structure_function(delta, p: ModelParams):
     return out if out.ndim else float(out)
 
 
-def chirped_detuning(delta0, t: float, chi: float):
-    """Instantaneous detuning of a mode that started at ``delta0``."""
-    return delta0 + chi * t
+def coupling(inst, spacing: float, p: ModelParams):
+    """Real coupling g of a grid mode at instantaneous detuning ``inst``.
 
-
-def _coupling(inst, spacing: float, p: ModelParams):
-    """Real coupling g of a grid mode at instantaneous detuning ``inst``:
-    g^2 = spacing * structure_function(inst)."""
-    return np.sqrt((spacing * p.d * p.d / np.pi) / (1.0 + inst * inst))
-
-
-def coupling_at(delta0, t: float, grid: BathGrid, p: ModelParams):
-    """Real coupling of the grid mode at initial detuning ``delta0`` at time t.
-
-    The coupling follows the mode as it slides under the fixed envelope:
-    g_k(t)^2 = spacing * structure_function(delta0 + chi*t).
+    A mode that started at delta0 sits at delta0 + chi*t, and its coupling
+    follows it under the fixed envelope: g^2 = spacing * structure_function(inst).
     """
-    lo, hi = grid.window
-    d0 = np.asarray(delta0, dtype=float)
-    tol = 1e-9 * grid.spacing
-    if np.any(d0 < lo - tol) or np.any(d0 > hi + tol):
-        raise ValidationError(f"detuning {delta0} lies outside the grid window [{lo}, {hi}]")
-    g = _coupling(chirped_detuning(d0, t, p.chi), grid.spacing, p)
-    return g if g.ndim else float(g)
+    return np.sqrt((spacing * p.d * p.d / np.pi) / (1.0 + inst * inst))
 
 
 def _window_half_widths(p: ModelParams, horizon: float, spacing: float) -> tuple[float, float]:
@@ -188,7 +171,16 @@ def _kernel_envelope(x: np.ndarray, u: float) -> np.ndarray:
     return 1.0 / np.sqrt((1.0 + (x + u) ** 2) * (1.0 + (x - u) ** 2))
 
 
-def _kernel_of_lag(tau: float, p: ModelParams) -> float:
+def memory_kernel(tau: float, p: ModelParams) -> float:
+    """Memory kernel K(tau) of the reduced emitter equation at lag ``tau``.
+
+    For the linear chirp the kernel depends on the lag t - t' alone (shifting
+    the integration variable by chi*(t+t')/2 removes the absolute times), is
+    real and even in the lag, and equals d^2 at zero lag.
+    """
+    if not np.isfinite(tau):
+        raise ValidationError(f"kernel lag must be finite, got {tau}")
+    tau = abs(tau)
     if tau < 1e-12:
         return p.d * p.d
     u = 0.5 * abs(p.chi) * tau
@@ -223,15 +215,3 @@ def _kernel_of_lag(tau: float, p: ModelParams) -> float:
     tail = i2 + (u * u - 1.0) * i4
     return float((p.d * p.d / np.pi) * 2.0 * (main + tail))
 
-
-def two_time_kernel(t: float, t_prime: float, p: ModelParams) -> complex:
-    """Memory kernel K(t, t') of the reduced emitter equation.
-
-    For the linear chirp the kernel depends on the lag t - t' alone (shifting
-    the integration variable by chi*(t+t')/2 removes the absolute times), is
-    real and even in the lag, and equals d^2 at zero lag.  Exchanging the
-    arguments conjugates the value, which for a real kernel is an identity.
-    """
-    if t < 0 or t_prime < 0:
-        raise ValidationError(f"kernel times must be non-negative, got ({t}, {t_prime})")
-    return complex(_kernel_of_lag(abs(t - t_prime), p), 0.0)

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import trapezoid
 
-from .dynamics import AmplitudeState
 from .errors import ValidationError
 from .model import BathGrid, ModelParams, rabi_frequency, structure_function
 
@@ -47,19 +46,16 @@ class SpectrumSeries:
         object.__setattr__(self, "values", s)
 
 
-def numeric_spectrum(state: AmplitudeState, grid: BathGrid, p: ModelParams) -> SpectrumSeries:
-    """Spectrum of an evolved state: S_k = |c_k|^2 / spacing at delta_k + chi*t."""
-    c = np.asarray(state.c_modes)
+def numeric_spectrum(c_modes, t: float, grid: BathGrid, p: ModelParams) -> SpectrumSeries:
+    """Spectrum of the mode amplitudes ``c_modes`` at time ``t``:
+    S_k = |c_k|^2 / spacing at delta_k + chi*t."""
+    c = np.asarray(c_modes)
     if c.size != grid.size:
         raise ValidationError(
-            f"state carries {c.size} mode amplitudes but the grid has {grid.size}"
+            f"{c.size} mode amplitudes given but the grid has {grid.size}"
         )
     values = np.abs(c) ** 2 / grid.spacing
-    return SpectrumSeries(
-        detunings_now=grid.detunings + p.chi * state.t,
-        values=values,
-        t=state.t,
-    )
+    return SpectrumSeries(detunings_now=grid.detunings + p.chi * t, values=values, t=t)
 
 
 def static_ck(delta, t: float, p: ModelParams):
@@ -118,9 +114,10 @@ def longtime_spectrum(delta, p: ModelParams):
     return out if out.ndim else float(out)
 
 
-def spectrum_closure(series: SpectrumSeries, c_a: complex) -> float:
-    """|c_a|^2 plus the trapezoidal integral of S; 1 up to grid truncation."""
-    return abs(c_a) ** 2 + float(trapezoid(series.values, series.detunings_now))
+def spectrum_closure(series: SpectrumSeries, pa: float) -> float:
+    """Emitter population ``pa`` plus the trapezoidal integral of S; 1 up to
+    grid truncation."""
+    return pa + float(trapezoid(series.values, series.detunings_now))
 
 
 def detached_peak_area(series: SpectrumSeries, p: ModelParams) -> float:

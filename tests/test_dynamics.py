@@ -10,16 +10,14 @@ from chirped_bath import dynamics
 
 def _run(p, t_end, **kw):
     grid = cb.build_grid(p, t_end)
-    return cb.evolve(cb.init_state(grid), grid, p, None, t_end, **kw), grid
+    return cb.evolve(grid, p, t_end, **kw), grid
 
 
-def test_init_state_and_norm():
-    grid = cb.build_grid(cb.ModelParams(d=0.2), 1.0)
-    state = cb.init_state(grid)
-    assert state.t == 0.0
-    assert state.c_a == 1.0 + 0.0j
-    assert not state.c_modes.any()
-    assert abs(state.c_a) ** 2 + np.sum(np.abs(state.c_modes) ** 2) == pytest.approx(1.0, rel=1e-15)
+def test_starts_excited_with_empty_bath():
+    traj, _ = _run(cb.ModelParams(d=0.2), 1.0, sample_times=np.array([0.0, 0.5]), store_modes=True)
+    assert traj.pa[0] == 1.0
+    assert not traj.modes[0].any()
+    assert traj.norms[0] == 1.0
 
 
 def test_integrator_config_validation():
@@ -55,8 +53,8 @@ def test_mode_density_refinement_converged():
     p = cb.ModelParams(d=2.0, chi=3.0)
     coarse_grid = cb.build_grid(p, 0.5, modes_per_gamma=10.0)
     fine_grid = cb.build_grid(p, 0.5, modes_per_gamma=20.0)
-    coarse = cb.evolve(cb.init_state(coarse_grid), coarse_grid, p, None, 0.5)
-    fine = cb.evolve(cb.init_state(fine_grid), fine_grid, p, None, 0.5)
+    coarse = cb.evolve(coarse_grid, p, 0.5)
+    fine = cb.evolve(fine_grid, p, 0.5)
     assert np.max(np.abs(coarse.pa - fine.pa)) < 1e-3
 
 
@@ -79,16 +77,18 @@ def test_explicit_sample_times():
     p = cb.ModelParams(d=0.2)
     grid = cb.build_grid(p, 1.0)
     want = np.array([0.1, 0.25, 0.9])
-    traj = cb.evolve(cb.init_state(grid), grid, p, None, 1.0, sample_times=want)
+    traj = cb.evolve(grid, p, 1.0, sample_times=want)
     assert np.array_equal(traj.times, want)
     with pytest.raises(cb.ValidationError):
-        cb.evolve(
-            cb.init_state(grid), grid, p, None, 1.0, sample_times=np.array([0.5, 0.2])
-        )
+        cb.evolve(grid, p, 1.0, sample_times=np.array([0.5, 0.2]))
     with pytest.raises(cb.ValidationError):
-        cb.evolve(
-            cb.init_state(grid), grid, p, None, 1.0, sample_times=np.array([0.5, 2.0])
-        )
+        cb.evolve(grid, p, 1.0, sample_times=np.array([0.5, 2.0]))
+    # 7000 samples of a 10201-mode grid would need a 1.1 GiB state matrix
+    fast = cb.ModelParams(d=0.2, chi=1000.0)
+    wide = cb.build_grid(fast, 1.0)
+    assert wide.size == 10201
+    with pytest.raises(cb.ValidationError, match="sample-every"):
+        cb.evolve(wide, fast, 1.0, sample_times=np.linspace(0.01, 1.0, 7000))
 
 
 def test_horizon_coverage_guard():
@@ -96,7 +96,7 @@ def test_horizon_coverage_guard():
     p = cb.ModelParams(d=2.0, chi=20.0)
     grid = cb.build_grid(p, 1.0)
     with pytest.raises(cb.GridCoverageError):
-        cb.evolve(cb.init_state(grid), grid, p, None, 2.0)
+        cb.evolve(grid, p, 2.0)
 
 
 def test_recurrence_horizon_guard():
@@ -109,7 +109,7 @@ def test_recurrence_horizon_guard():
     assert cb.build_grid(p, 70.0, modes_per_gamma=30.0).spacing == pytest.approx(1 / 30)
     grid = cb.build_grid(p, 10.0)
     with pytest.raises(cb.GridCoverageError):
-        cb.evolve(cb.init_state(grid), grid, p, None, 40.0)
+        cb.evolve(grid, p, 40.0)
 
 
 def test_norm_drift_checked_at_every_sample(monkeypatch):
@@ -131,31 +131,19 @@ def test_static_grid_rejects_chirped_params():
     static_grid = cb.build_grid(cb.ModelParams(d=2.0), 1.0)
     chirped = cb.ModelParams(d=2.0, chi=50.0)
     with pytest.raises(cb.GridCoverageError):
-        cb.evolve(cb.init_state(static_grid), static_grid, chirped, None, 1.0)
-
-
-def test_state_grid_mismatch_rejected():
-    p = cb.ModelParams(d=0.2)
-    grid = cb.build_grid(p, 1.0)
-    bad = cb.AmplitudeState(t=0.0, c_a=1.0 + 0.0j, c_modes=np.zeros(5, dtype=complex))
-    with pytest.raises(cb.ValidationError):
-        cb.evolve(bad, grid, p, None, 1.0)
+        cb.evolve(static_grid, chirped, 1.0)
 
 
 def test_t_end_must_advance():
     p = cb.ModelParams(d=0.2)
     grid = cb.build_grid(p, 1.0)
     with pytest.raises(cb.ValidationError):
-        cb.evolve(cb.init_state(grid), grid, p, None, 0.0)
+        cb.evolve(grid, p, 0.0)
 
 
-def test_store_states():
+def test_store_modes():
     p = cb.ModelParams(d=0.2)
-    grid = cb.build_grid(p, 0.5)
-    traj = cb.evolve(cb.init_state(grid), grid, p, None, 0.5, store_states=True)
-    assert traj.states is not None
-    assert len(traj.states) == traj.times.size
-    assert traj.states[0].c_a == pytest.approx(1.0)
-    last = traj.states[-1]
-    assert last.t == pytest.approx(0.5)
-    assert abs(last.c_a) ** 2 + np.sum(np.abs(last.c_modes) ** 2) == pytest.approx(1.0, abs=1e-8)
+    assert _run(p, 0.5)[0].modes is None
+    traj, grid = _run(p, 0.5, store_modes=True)
+    assert traj.modes.shape == (traj.times.size, grid.size)
+    assert traj.pa[-1] + np.sum(np.abs(traj.modes[-1]) ** 2) == pytest.approx(1.0, abs=1e-8)

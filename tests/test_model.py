@@ -9,11 +9,10 @@ from chirped_bath import (
     ModelParams,
     ValidationError,
     build_grid,
-    chirped_detuning,
-    coupling_at,
+    coupling,
+    memory_kernel,
     rabi_frequency,
     structure_function,
-    two_time_kernel,
     xi,
 )
 from oracles import kernel_oracle
@@ -46,16 +45,10 @@ def test_structure_function_normalization():
     assert abs(total - 64.0) / 64.0 < 1e-3
 
 
-def test_chirped_detuning_linear_law():
-    assert chirped_detuning(5.0, 0.0, 20.0) == 5.0
-    assert chirped_detuning(-2.0, 0.1, 20.0) == pytest.approx(0.0, abs=1e-12)
-    assert chirped_detuning(0.0, 1.0, 8.4) == pytest.approx(8.4)
-
-
 def test_coupling_envelope_value():
     p = ModelParams(d=8.0)
     grid = build_grid(p, 1.0)
-    g0 = coupling_at(0.0, 0.0, grid, p)
+    g0 = coupling(0.0, grid.spacing, p)
     assert g0 == pytest.approx(np.sqrt(0.1 * 64.0 / np.pi), rel=1e-12)
     assert g0 == pytest.approx(1.4273, abs=1e-4)
 
@@ -66,31 +59,25 @@ def test_coupling_sum_rule_time_independent():
     p = ModelParams(d=8.0, chi=20.0)
     grid = _wide_grid()
     for t in (0.0, 0.7):
-        total = np.sum(coupling_at(grid.detunings, t, grid, p) ** 2)
+        total = np.sum(coupling(grid.detunings + p.chi * t, grid.spacing, p) ** 2)
         assert abs(total - 64.0) / 64.0 < 5e-3
 
 
 def test_coupling_resonant_mode_is_maximal():
     p = ModelParams(d=8.0, chi=20.0)
     grid = _wide_grid()
-    g = coupling_at(grid.detunings, 0.7, grid, p)
+    g = coupling(grid.detunings + p.chi * 0.7, grid.spacing, p)
     assert np.argmax(g) == np.argmin(np.abs(grid.detunings + 20.0 * 0.7))
 
 
 def test_coupling_translation_covariance():
-    # only the combination delta0 + chi*t enters
+    # only the combination delta0 + chi*t enters: the mode that starts at
+    # -14 has, at t = 0.7, the coupling of the resonant mode at t = 0
     p = ModelParams(d=8.0, chi=20.0)
     grid = _wide_grid()
-    assert coupling_at(-14.0, 0.7, grid, p) == pytest.approx(
-        coupling_at(0.0, 0.0, grid, p), rel=1e-9
+    assert coupling(-14.0 + p.chi * 0.7, grid.spacing, p) == pytest.approx(
+        coupling(0.0, grid.spacing, p), rel=1e-9
     )
-
-
-def test_coupling_outside_window_rejected():
-    p = ModelParams(d=8.0)
-    grid = build_grid(p, 1.0)
-    with pytest.raises(ValidationError):
-        coupling_at(1000.0, 0.0, grid, p)
 
 
 def test_grid_validation():
@@ -131,34 +118,33 @@ def test_grid_mode_cap():
 
 @pytest.mark.parametrize("t", [0.0, 0.3, 2.0])
 def test_kernel_equal_times(t):
+    # equal times t = t' mean zero lag, where K(0) = d^2 whatever the chirp
     p = ModelParams(d=8.0, chi=400.0)
-    assert two_time_kernel(t, t, p) == pytest.approx(64.0 + 0.0j, abs=1e-10)
+    assert memory_kernel(t - t, p) == pytest.approx(64.0 + 0.0j, abs=1e-10)
 
 
 def test_kernel_static_reduction():
     p = ModelParams(d=1.0)
-    assert two_time_kernel(1.5, 0.5, p) == pytest.approx(np.exp(-1.0), abs=1e-9)
+    assert memory_kernel(1.0, p) == pytest.approx(np.exp(-1.0), abs=1e-9)
     for tau in np.linspace(0.0, 20.0, 41):
-        assert abs(two_time_kernel(tau, 0.0, p) - np.exp(-tau)) < 1e-6
+        assert abs(memory_kernel(tau, p) - np.exp(-tau)) < 1e-6
 
 
 def test_kernel_collapses_under_fast_chirp():
     # by the time chi*(t - t') ~ 1 the kernel has lost most of K(0) = d^2
     p = ModelParams(d=8.0, chi=400.0)
-    assert abs(two_time_kernel(0.05, 0.0, p)) < 0.2 * 64.0
+    assert abs(memory_kernel(0.05, p)) < 0.2 * 64.0
 
 
-def test_kernel_hermitian_and_stationary():
+def test_kernel_even_in_lag():
     p = ModelParams(d=8.0, chi=400.0)
-    a = two_time_kernel(0.3, 0.1, p)
-    assert a == pytest.approx(np.conj(two_time_kernel(0.1, 0.3, p)), rel=1e-12)
-    # a linear chirp leaves the kernel a function of the lag alone
-    assert a == pytest.approx(two_time_kernel(0.9, 0.7, p), rel=1e-12)
+    assert memory_kernel(-0.2, p) == pytest.approx(memory_kernel(0.2, p), rel=1e-12)
 
 
-def test_kernel_rejects_negative_times():
-    with pytest.raises(ValidationError):
-        two_time_kernel(-0.1, -0.3, ModelParams(d=1.0))
+def test_kernel_rejects_non_finite_lag():
+    for tau in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValidationError):
+            memory_kernel(tau, ModelParams(d=1.0))
 
 
 @pytest.mark.parametrize(
@@ -174,7 +160,7 @@ def test_kernel_rejects_negative_times():
 def test_kernel_matches_fourier_quadrature(tau, d, chi):
     """Cross-check against the independent semi-infinite cosine-weighted
     quadrature in oracles.py."""
-    val = two_time_kernel(tau, 0.0, ModelParams(d=d, chi=chi))
+    val = memory_kernel(tau, ModelParams(d=d, chi=chi))
     assert abs(val - kernel_oracle(tau, d, chi)) < 1e-7
 
 

@@ -9,6 +9,8 @@ import chirped_bath as cb
 def test_config_validation():
     with pytest.raises(cb.ValidationError):
         cb.VolterraConfig(steps=8)
+    with pytest.raises(cb.ValidationError):
+        cb.VolterraConfig(steps=10**20)
     cb.VolterraConfig(steps=16)
 
 
@@ -51,7 +53,7 @@ def test_chirped_cross_check_against_dynamics():
     p = cb.ModelParams(d=8.0, chi=20.0)
     sol = cb.solve_volterra(p, 1.0, cb.VolterraConfig(steps=500))
     grid = cb.build_grid(p, 1.0)
-    traj = cb.evolve(cb.init_state(grid), grid, p, None, 1.0)
+    traj = cb.evolve(grid, p, 1.0)
     assert traj.times.size == sol.times.size
     assert np.max(np.abs(traj.times - sol.times)) < 1e-9
     assert np.max(np.abs(traj.pa - sol.pa)) < 1e-3
