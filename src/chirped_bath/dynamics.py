@@ -17,9 +17,13 @@ from .errors import GridCoverageError, SolverError, ValidationError
 from .model import BathGrid, ModelParams, _window_half_widths, coupling
 
 DEFAULT_SAMPLE_EVERY = 1e-3
-# Largest samples x (modes + 1) complex matrix that `_rk.integrate` may
-# allocate; fig7, the largest preset, needs 209 MB.
+# Largest samples x (modes + 1) complex amplitudes that `_rk.integrate` may
+# interpolate, in bytes.  It bounds the per-sample interpolation work, and
+# bounds memory only when mode amplitudes are kept (fig7, the largest preset,
+# comes to 209 MB).
 MAX_SAMPLE_BYTES = 2**30
+# Largest population a trajectory may report.
+_PA_MAX = 1 + 1e-6
 
 
 @dataclass(frozen=True)
@@ -50,12 +54,20 @@ class Trajectory:
             raise ValidationError("times and pa must have matching shapes")
         if np.any(np.diff(self.times) <= 0):
             raise ValidationError("trajectory times must be strictly increasing")
-        if np.any(self.pa < 0) or np.any(self.pa > 1 + 1e-6):
+        if np.any(self.pa < 0) or np.any(self.pa > _PA_MAX):
             raise ValidationError("pa must lie in [0, 1 + 1e-6]")
         if self.norms is not None:
             self.norms = np.asarray(self.norms, dtype=float)
             if self.norms.shape != self.times.shape:
                 raise ValidationError("norms must match times in shape")
+
+
+def _check_population(pa: np.ndarray) -> None:
+    """Refuse a solver's own pa = |c_a|^2 series that rises above 1 + 1e-6:
+    the solver, not its caller, is at fault (exit 3, not 2)."""
+    worst = float(np.max(pa))
+    if not worst <= _PA_MAX:
+        raise SolverError(f"pa reached {worst:.9g}, above the bound 1 + 1e-6")
 
 
 def _make_rhs(det: np.ndarray, spacing: float, p: ModelParams):
@@ -125,8 +137,9 @@ def evolve(
     size = count * (grid.size + 1) * 16.0
     if size > MAX_SAMPLE_BYTES:
         raise ValidationError(
-            f"{count:.3g} samples of {grid.size + 1} amplitudes need {size / 2**30:.3g} GiB, "
-            f"above the {MAX_SAMPLE_BYTES / 2**30:g} GiB limit; raise --sample-every"
+            f"{count:.3g} samples of {grid.size + 1} amplitudes come to {size / 2**30:.3g} GiB "
+            f"of interpolated states, above the {MAX_SAMPLE_BYTES / 2**30:g} GiB limit; "
+            "raise --sample-every"
         )
     if times is None:
         times = _sample_times(t_end, cfg.sample_every)
@@ -138,9 +151,15 @@ def evolve(
     y0 = np.zeros(grid.size + 1, dtype=complex)
     y0[0] = 1.0
     rhs = _make_rhs(grid.detunings, grid.spacing, p)
-    samples, _ = _rk.integrate(rhs, 0.0, y0, times, rel_tol=cfg.rel_tol)
-    pa = np.abs(samples[:, 0]) ** 2
-    norms = np.sum(np.abs(samples) ** 2, axis=1)
+
+    def keep(states: np.ndarray) -> np.ndarray:
+        # columns pa, norm and, on request, the mode amplitudes
+        sq = np.abs(states) ** 2
+        cols = [sq[:, :1], sq.sum(axis=1, keepdims=True)]
+        return np.hstack(cols + [states[:, 1:]] if store_modes else cols)
+
+    kept, _ = _rk.integrate(rhs, 0.0, y0, times, rel_tol=cfg.rel_tol, keep=keep)
+    pa, norms = kept[:, 0].real, kept[:, 1].real
     drift = float(np.max(np.abs(norms - 1.0)))
     budget = 10.0 * cfg.rel_tol * t_end
     if drift > budget:
@@ -148,5 +167,6 @@ def evolve(
             f"norm drifted by up to {drift:.3e} over [0, {t_end:g}], "
             f"beyond the {budget:.3e} budget for rel_tol = {cfg.rel_tol:g}"
         )
-    modes = samples[:, 1:] if store_modes else None
+    _check_population(pa)
+    modes = kept[:, 2:] if store_modes else None
     return Trajectory(times=times, pa=pa, modes=modes, norms=norms)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Trajectory
+from .dynamics import Trajectory, _check_population
 from .errors import ValidationError
 from .model import ModelParams, memory_kernel
 
@@ -83,6 +83,7 @@ def solve_volterra(p: ModelParams, t_end: float, cfg: VolterraConfig | None = No
     c_fine = _march(fine, 0.5 * h, 2 * n)
     pa_coarse = np.abs(c_coarse) ** 2
     pa_fine = np.abs(c_fine) ** 2
+    _check_population(pa_fine)
     estimate = float(np.max(np.abs(pa_fine[::2] - pa_coarse)) / 3.0)
     times = np.linspace(0.0, t_end, 2 * n + 1)
     return VolterraSolution(times=times, pa=pa_fine, richardson_error=estimate)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import chirped_bath as cb
-from chirped_bath import cli
+from chirped_bath import cli, dynamics, volterra
 
 
 def _read_csv(path):
@@ -56,6 +56,46 @@ def test_solver_failure_exits_3(monkeypatch):
 
     monkeypatch.setattr(cli, "simulate_table", boom)
     assert cli.main(["simulate", "--d", "0.2", "--t-end", "0.1"]) == 3
+
+
+def _overshoot_integrate(monkeypatch):
+    integrate = dynamics._rk.integrate
+
+    def overshoot(*args, **kwargs):
+        kept, n_steps = integrate(*args, **kwargs)
+        kept[kept.shape[0] // 2, 0] = 1.0 + 1e-4  # the pa column
+        return kept, n_steps
+
+    monkeypatch.setattr(dynamics._rk, "integrate", overshoot)
+
+
+def _overshoot_march(monkeypatch):
+    march = volterra._march
+
+    def overshoot(*args, **kwargs):
+        c = march(*args, **kwargs)
+        c[c.size // 2] = np.sqrt(1.0 + 1e-4)
+        return c
+
+    monkeypatch.setattr(volterra, "_march", overshoot)
+
+
+@pytest.mark.parametrize(
+    "patch, argv",
+    [
+        # at rel_tol 1e-3 the norm budget is 1e-2, so only the pa check can fire
+        (_overshoot_integrate, ["simulate", "--d", "0.2", "--t-end", "1", "--rel-tol", "1e-3"]),
+        (_overshoot_march, ["volterra", "--d", "0.2", "--t-end", "0.5", "--steps", "16"]),
+    ],
+    ids=["simulate", "volterra"],
+)
+def test_solver_overshoot_exits_3(tmp_path, capsys, monkeypatch, patch, argv):
+    """A pa above 1 + 1e-6 that a solver produced is a solver failure, not
+    invalid input."""
+    patch(monkeypatch)
+    assert cli.main(argv + ["--out", str(tmp_path / "a.csv")]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("solver failure: ")
 
 
 def test_simulate_columns(tmp_path):

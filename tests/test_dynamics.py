@@ -1,6 +1,8 @@
 """Direct integration of the coupled amplitude equations: accuracy,
 unitarity bookkeeping, sampling controls, and coverage guards."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -147,3 +149,23 @@ def test_store_modes():
     traj, grid = _run(p, 0.5, store_modes=True)
     assert traj.modes.shape == (traj.times.size, grid.size)
     assert traj.pa[-1] + np.sum(np.abs(traj.modes[-1]) ** 2) == pytest.approx(1.0, abs=1e-8)
+
+
+def test_samples_do_not_keep_the_state_matrix():
+    """Without store_modes only pa and the norm are kept per sample, so a run
+    of 2001 samples x 1001 modes peaks far below the 32 MB that its
+    samples x modes matrix would take."""
+    p = cb.ModelParams(d=0.2, chi=40.0)
+    grid = cb.build_grid(p, 2.0)
+    assert grid.size == 1001
+    tracemalloc.start()
+    try:
+        traj = cb.evolve(grid, p, 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.times.size == 2001 and traj.modes is None
+    assert peak < 8 * 2**20
+    kept = cb.evolve(grid, p, 2.0, store_modes=True)
+    assert kept.modes.shape == (2001, 1001)
+    assert np.array_equal(kept.pa, traj.pa)
