@@ -36,7 +36,6 @@ from .dynamics import (
 )
 from .errors import (
     GridCoverageError,
-    QuadratureError,
     SolverError,
     StepSizeUnderflowError,
     ValidationError,
@@ -70,7 +69,6 @@ __all__ = [
     "GridCoverageError",
     "IntegratorConfig",
     "ModelParams",
-    "QuadratureError",
     "RabiMeasurement",
     "RegimeReport",
     "SolverError",

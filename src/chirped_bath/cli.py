@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -123,9 +124,18 @@ def _write(out: str | None, result) -> None:
         text = result + "\n"
     else:
         header, rows = result
-        lines = [",".join(header)]
-        lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
-        text = "\n".join(lines) + "\n"
+        # One %-format call for the whole table: float columns go in as
+        # floats under %.16e, and a column holding text as formatted cells.
+        specs, columns = [], []
+        for column in zip(*rows):
+            if any(isinstance(cell, str) for cell in column):
+                specs.append("%s")
+                columns.append([_fmt(cell) for cell in column])
+            else:
+                specs.append("%.16e")
+                columns.append(np.asarray(column, dtype=float).tolist())
+        cells = tuple(chain.from_iterable(zip(*columns)))
+        text = ",".join(header) + "\n" + ((",".join(specs) + "\n") * len(rows)) % cells
     if out is None:
         sys.stdout.write(text)
     else:

@@ -26,7 +26,3 @@ class StepSizeUnderflowError(SolverError):
     def __init__(self, t: float):
         self.t = t
         super().__init__(f"step size underflow at t = {t:.6g}")
-
-
-class QuadratureError(SolverError):
-    """Adaptive quadrature did not converge to the requested tolerance."""

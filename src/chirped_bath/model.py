@@ -13,10 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import sici
+from scipy.special import roots_legendre, sici
 
-from .errors import GridCoverageError, QuadratureError, ValidationError
+from .errors import GridCoverageError, ValidationError
 
 # Half-window of the detuning grid when there is no oscillatory structure to
 # resolve (weak coupling), in units of the envelope half-width.
@@ -27,9 +26,23 @@ WEAK_HALF_WINDOW = 10.0
 STRONG_WINDOW_PAD = 40.0
 MODE_CAP = 2_000_000
 
-_KERNEL_EPS = 1e-11
 # Relative truncation budget for the analytic kernel tail (next omitted term).
 _KERNEL_TAIL_BUDGET = 5e-10
+# The tail switches from its Si closed form to its asymptotic series at
+# z = cut*tau = 100, where 20 terms leave a relative error below 1e-17.
+_TAIL_SERIES_FROM = 100.0
+_TAIL_SERIES_TERMS = 20
+_GL_NODES, _GL_WEIGHTS = roots_legendre(16)
+# cos and sin of the node phases about the centre of a capped panel (4 rad wide)
+_CAPPED_PHASES = np.stack([np.cos(2.0 * _GL_NODES), np.sin(2.0 * _GL_NODES)])
+_PANEL_GROWTH = 1.5
+# 2048 panels of 16 nodes: 256 KiB per float array of a block.
+_KERNEL_BLOCK_PANELS = 2048
+# A node costs 15-20 ns on a 2-CPU Xeon, so a lattice at this limit takes
+# 1-1.5 minutes, about what the march takes at volterra.MAX_STEPS.  Every
+# |chi| <= 400, t_end <= 2 fits at every step count (3.3e9 nodes at
+# chi = 400, t_end = 2, 65536 steps, where the lattice took 63 s).
+MAX_KERNEL_NODES = 4e9
 
 
 @dataclass(frozen=True)
@@ -167,51 +180,141 @@ def xi(p: ModelParams) -> float:
     return 4.0 * np.pi * p.chi / (om * om)
 
 
-def _kernel_envelope(x: np.ndarray, u: float) -> np.ndarray:
-    return 1.0 / np.sqrt((1.0 + (x + u) ** 2) * (1.0 + (x - u) ** 2))
+def _panel_edge(k, geo, cap):
+    """Distance from the envelope peak of the k-th panel edge on one side:
+    geometric up to edge ``geo``, then uniform steps of ``cap``."""
+    span = _PANEL_GROWTH ** np.minimum(k, geo) - 1.0
+    return span + np.maximum(k - geo, 0.0) * cap
 
 
-def memory_kernel(tau: float, p: ModelParams) -> float:
-    """Memory kernel K(tau) of the reduced emitter equation at lag ``tau``.
+def _panels_to(length, geo, cap):
+    """Number of panels from the envelope peak out to distance ``length``."""
+    span = _PANEL_GROWTH**geo - 1.0
+    inner = np.ceil(np.log1p(length) / np.log(_PANEL_GROWTH))
+    return np.where(length <= span, inner, geo + np.ceil((length - span) / cap))
+
+
+def _kernel_tail(cut, tau, u):
+    """Integral of the envelope's tail 1/x^2 + (u^2-1)/x^4 against cos(tau*x)
+    over [cut, inf).
+
+    Small z = cut*tau: closed form through Si.  Large z: the same integrals as
+    int_z^inf e^{it} t^-n dt = i e^{iz} z^-n sum_k (n)_k (-i/z)^k, summed to
+    a fixed order; the closed form would subtract Si from pi/2 there and lose
+    every digit of the x^-4 term.
+    """
+    z = cut * tau
+    out = np.empty_like(z)
+    small = z < _TAIL_SERIES_FROM
+    c, t, w = cut[small], tau[small], z[small]
+    si, _ = sici(w)
+    i2 = np.cos(w) / c - t * (0.5 * np.pi - si)
+    i4 = np.cos(w) / (3.0 * c**3) - (t / 3.0) * (np.sin(w) / (2.0 * c * c) + 0.5 * t * i2)
+    out[small] = i2 + (u[small] ** 2 - 1.0) * i4
+    large = ~small
+    c, t, w = cut[large], tau[large], z[large]
+    step = -1j / w
+    s2 = np.ones_like(step)
+    s4 = np.ones_like(step)
+    for k in range(_TAIL_SERIES_TERMS, 0, -1):
+        s2 = 1.0 + (k + 1) * step * s2
+        s4 = 1.0 + (k + 3) * step * s4
+    series = s2 / (c * c) + (u[large] ** 2 - 1.0) * s4 / c**4
+    out[large] = (1j * np.exp(1j * w) * series).real / t
+    return out
+
+
+def _chirped_kernel(tau: np.ndarray, p: ModelParams) -> np.ndarray:
+    """(2 d^2/pi) int_0^inf envelope(x) cos(tau x) dx at positive lags.
+
+    [0, cut] is split into panels, each integrated by a 16-point
+    Gauss-Legendre rule; [cut, inf) is the analytic tail.  Panels start at
+    the envelope peak x = u, widen as 0.5 + 0.5|x - u| away from it and are
+    capped at 4/tau, so each spans at most 4 radians of cos(tau x).  All
+    lags' panels form one flat sequence, laid out in closed form and
+    evaluated in blocks of _KERNEL_BLOCK_PANELS.  cos(tau x) is split at the
+    panel centre, so the capped panels, whose nodes all sit at the phases
+    2 xi_j about it, cost no trigonometric call per node.
+    """
+    u = 0.5 * abs(p.chi) * tau
+    cap = 4.0 / tau
+    with np.errstate(over="ignore", invalid="ignore"):
+        # Truncate where the O(x^-6) remainder of the analytic tail is negligible.
+        c6 = 1.5 * (1.0 + u * u) ** 2
+        budget_cut = (c6 * (2.0 / np.pi) / _KERNEL_TAIL_BUDGET) ** 0.2
+        cut = np.maximum(np.maximum(60.0, 2.0 * u + 20.0), budget_cut)
+        # Panels 0.5 * 1.5**k wide (k < geo) stay within the cap.
+        geo = np.maximum(np.floor(np.log(2.0 * cap) / np.log(_PANEL_GROWTH)) + 1.0, 0.0)
+        left = _panels_to(u, geo, cap)
+        counts = left + _panels_to(cut - u, geo, cap)
+        nodes = _GL_NODES.size * float(np.sum(counts))
+    if not nodes <= MAX_KERNEL_NODES:
+        raise ValidationError(
+            f"the memory-kernel lattice needs {nodes:.3g} quadrature nodes, above the limit "
+            f"{MAX_KERNEL_NODES:.3g}; lower --chi or --t-end"
+        )
+    ends = np.cumsum(counts.astype(np.int64))
+    starts = ends - counts
+    total = int(ends[-1])
+    main = np.zeros_like(tau)
+    buf_minus = np.empty((_GL_NODES.size, _KERNEL_BLOCK_PANELS))
+    buf_plus = np.empty_like(buf_minus)
+    for first in range(0, total, _KERNEL_BLOCK_PANELS):
+        panel = np.arange(first, min(first + _KERNEL_BLOCK_PANELS, total))
+        lag = np.searchsorted(ends, panel, side="right")
+        k = panel - starts[lag]
+        on_left = k < left[lag]
+        k = np.where(on_left, k, k - left[lag])
+        g, width, peak = geo[lag], cap[lag], u[lag]
+        # Each panel covers distances [near, far] from the peak on its side,
+        # clipped to x >= 0 on the left and x <= cut on the right.
+        reach = np.where(on_left, peak, cut[lag] - peak)
+        far = _panel_edge(k + 1.0, g, width)
+        capped = (k >= g) & (far <= reach)
+        near = np.minimum(_panel_edge(k, g, width), reach)
+        far = np.minimum(far, reach)
+        half = np.where(capped, 0.5 * width, 0.5 * (far - near))
+        offset = np.where(on_left, -0.5, 0.5) * (far + near)  # centre minus peak
+        # x - u and x + u at the nodes (one row per node), then the envelope
+        x_minus = np.multiply(_GL_NODES[:, None], half, out=buf_minus[:, :panel.size])
+        x_plus = np.add(x_minus, 2.0 * peak + offset, out=buf_plus[:, :panel.size])
+        x_minus += offset
+        x_minus *= x_minus
+        x_minus += 1.0
+        x_plus *= x_plus
+        x_plus += 1.0
+        x_minus *= x_plus
+        env = np.sqrt(x_minus, out=x_minus)
+        np.divide(_GL_WEIGHTS[:, None], env, out=env)
+        # sum_j w_j env_j (cos, sin)(tau half xi_j) per panel
+        cos_part, sin_part = np.einsum("kj,jp->kp", _CAPPED_PHASES, env)
+        loose = np.flatnonzero(~capped)
+        beta = _GL_NODES[:, None] * (tau[lag[loose]] * half[loose])
+        cos_part[loose] = np.einsum("ij,ij->j", env[:, loose], np.cos(beta))
+        sin_part[loose] = np.einsum("ij,ij->j", env[:, loose], np.sin(beta))
+        centre = tau[lag] * (peak + offset)
+        sums = half * (np.cos(centre) * cos_part - np.sin(centre) * sin_part)
+        main[lag[0]:lag[-1] + 1] += np.bincount(lag - lag[0], weights=sums)
+    return (p.d * p.d / np.pi) * 2.0 * (main + _kernel_tail(cut, tau, u))
+
+
+def memory_kernel(tau, p: ModelParams):
+    """Memory kernel K(tau) of the reduced emitter equation at lag ``tau``, a
+    scalar or an array of lags.
 
     For the linear chirp the kernel depends on the lag t - t' alone (shifting
     the integration variable by chi*(t+t')/2 removes the absolute times), is
-    real and even in the lag, and equals d^2 at zero lag.
+    real and even in the lag, and equals d^2 at zero lag; without chirp it is
+    d^2 exp(-|tau|).
     """
-    if not np.isfinite(tau):
+    lags = np.abs(np.asarray(tau, dtype=float))
+    if not np.all(np.isfinite(lags)):
         raise ValidationError(f"kernel lag must be finite, got {tau}")
-    tau = abs(tau)
-    if tau < 1e-12:
-        return p.d * p.d
-    u = 0.5 * abs(p.chi) * tau
-    # Truncate where the O(x^-6) remainder of the analytic tail is negligible.
-    c6 = 1.5 * (1.0 + u * u) ** 2
-    cut = max(60.0, 2.0 * u + 20.0, (c6 * (2.0 / np.pi) / _KERNEL_TAIL_BUDGET) ** 0.2)
-    res = quad(
-        _kernel_envelope,
-        0.0,
-        cut,
-        args=(u,),
-        weight="cos",
-        wvar=tau,
-        epsabs=_KERNEL_EPS,
-        epsrel=_KERNEL_EPS,
-        limit=int(tau * cut / np.pi) + 200,
-        full_output=1,
-    )
-    if len(res) > 3:
-        raise QuadratureError(
-            f"memory-kernel quadrature did not converge at lag {tau:.6g} "
-            f"(achieved error estimate {res[1]:.2e})"
-        )
-    main = res[0]
-    # Analytic tail of the envelope, 1/x^2 + (u^2-1)/x^4, integrated against
-    # cos(tau*x) on [cut, inf) in closed form.
-    si, _ = sici(cut * tau)
-    i2 = np.cos(cut * tau) / cut - tau * (0.5 * np.pi - si)
-    i4 = np.cos(cut * tau) / (3.0 * cut**3) - (tau / 3.0) * (
-        np.sin(cut * tau) / (2.0 * cut * cut) + 0.5 * tau * i2
-    )
-    tail = i2 + (u * u - 1.0) * i4
-    return float((p.d * p.d / np.pi) * 2.0 * (main + tail))
-
+    if p.chi == 0.0:
+        out = p.d * p.d * np.exp(-lags)
+    else:
+        out = np.full(lags.shape, p.d * p.d, dtype=float)
+        moving = lags >= 1e-12
+        if np.any(moving):
+            out[moving] = _chirped_kernel(lags[moving], p)
+    return out if out.ndim else float(out)

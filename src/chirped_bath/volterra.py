@@ -20,8 +20,10 @@ from .errors import ValidationError
 from .model import ModelParams, memory_kernel
 
 DEFAULT_STEPS = 1024
-# The lattice costs 2*steps + 1 kernel quadratures and the march grows as
-# steps^2; a solve at this limit takes 1.5-2.5 minutes on a 2-CPU Xeon.
+# The march grows as steps^2 and the lattice as the lag count times the
+# quadrature nodes per lag.  A solve at this limit on a 2-CPU Xeon took 54 s
+# without chirp (all march), 69 s at d = 8, chi = 100, t_end = 2 (lattice
+# 25 s) and 124 s at chi = 400 (lattice 63 s).
 MAX_STEPS = 65536
 
 
@@ -62,7 +64,7 @@ def _march(kernel_values: np.ndarray, h: float, n: int) -> np.ndarray:
 
 
 def _lag_lattice(p: ModelParams, h: float, n: int) -> np.ndarray:
-    return np.array([memory_kernel(j * h, p) for j in range(n + 1)])
+    return memory_kernel(h * np.arange(n + 1), p)
 
 
 def solve_volterra(p: ModelParams, t_end: float, cfg: VolterraConfig | None = None) -> VolterraSolution:

@@ -219,12 +219,14 @@ def test_gamma_inf_sweep(tmp_path):
         (["mirror", "--omega0-si", "1e300", "--length-si", "1e-10", "--length-rate-si", "1e10"],
          None, "a.csv"),
         (["simulate", "--d", "1", "--t-end", "1", "--sample-every", "1e-300"], None, "a.csv"),
+        (["volterra", "--d", "1", "--chi", "1e12", "--t-end", "1", "--steps", "16"],
+         None, "a.csv"),
     ],
     ids=[
         "config-text", "t-end-inf", "chi-inf", "chi-nan", "out-unwritable",
         "past-recurrence", "rel-tol-inf", "chi-max-inf", "mirror-nan", "mirror-negative",
         "mirror-gamma-underflow", "mirror-gamma-overflow", "mirror-chi-overflow",
-        "sample-every-tiny",
+        "sample-every-tiny", "kernel-nodes",
     ],
 )
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, config, out):

@@ -15,7 +15,7 @@ from chirped_bath import (
     structure_function,
     xi,
 )
-from oracles import kernel_oracle
+from oracles import kernel_convolution_oracle, kernel_oracle
 
 
 def _wide_grid(spacing: float = 0.02, half: float = 300.0) -> BathGrid:
@@ -162,6 +162,27 @@ def test_kernel_matches_fourier_quadrature(tau, d, chi):
     quadrature in oracles.py."""
     val = memory_kernel(tau, ModelParams(d=d, chi=chi))
     assert abs(val - kernel_oracle(tau, d, chi)) < 1e-7
+
+
+@pytest.mark.parametrize("chi", [1e4, 1e5])
+@pytest.mark.parametrize("tau", [0.5, 1.0])
+def test_kernel_large_chirp_matches_convolution_form(tau, chi):
+    """At chi tau^2 >= 1e4 the analytic tail must not cancel away its x^-4
+    term; the convolution form shares no step with the library's kernel."""
+    d = 2.0
+    val = memory_kernel(tau, ModelParams(d=d, chi=chi))
+    assert abs(val - kernel_convolution_oracle(tau, d, chi)) < 1e-12 * d * d
+
+
+def test_kernel_of_lag_array_matches_scalar_calls():
+    """An array of lags gives each lag's scalar value, up to the order in
+    which a lag's panel sums are added."""
+    p = ModelParams(d=3.0, chi=60.0)
+    lags = np.concatenate([[-0.2, 0.0], np.linspace(1e-3, 2.0, 400)])
+    values = memory_kernel(lags, p)
+    assert values.shape == lags.shape
+    for lag, value in zip(lags, values):
+        assert abs(value - memory_kernel(lag, p)) < 1e-14 * 9.0
 
 
 def test_rabi_frequency():

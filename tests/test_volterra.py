@@ -1,9 +1,12 @@
 """Product-integration solver for the reduced memory-kernel equation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import chirped_bath as cb
+from chirped_bath import volterra
 
 
 def test_config_validation():
@@ -66,3 +69,17 @@ def test_fast_chirp_flat_rate():
     sol = cb.solve_volterra(p, 1.0, cb.VolterraConfig(steps=500))
     fit = cb.fit_decay(sol, (0.2, 1.0))
     assert abs(fit.rate / cb.gamma_infinity(p) - 1.0) < 0.05
+
+
+def test_lag_lattice_memory_is_bounded():
+    """The lattice is evaluated in blocks: 2049 lags at chi = 100 take about
+    1.7e7 quadrature nodes, 130 MiB as one float array, but peak far lower."""
+    p = cb.ModelParams(d=4.0, chi=100.0)
+    tracemalloc.start()
+    try:
+        kernel = volterra._lag_lattice(p, 2.0 / 2048, 2048)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert kernel.shape == (2049,) and kernel[0] == 16.0
+    assert peak < 8 * 2**20
