@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -124,18 +123,13 @@ def _write(out: str | None, result) -> None:
         text = result + "\n"
     else:
         header, rows = result
-        # One %-format call for the whole table: float columns go in as
-        # floats under %.16e, and a column holding text as formatted cells.
-        specs, columns = [], []
-        for column in zip(*rows):
-            if any(isinstance(cell, str) for cell in column):
-                specs.append("%s")
-                columns.append([_fmt(cell) for cell in column])
-            else:
-                specs.append("%.16e")
-                columns.append(np.asarray(column, dtype=float).tolist())
-        cells = tuple(chain.from_iterable(zip(*columns)))
-        text = ",".join(header) + "\n" + ((",".join(specs) + "\n") * len(rows)) % cells
+        # One %-format per row: a number goes to %.16e as it is, and a column
+        # holding text has every cell formatted on its own first.
+        texts = {i for row in rows for i, cell in enumerate(row) if isinstance(cell, str)}
+        if texts:
+            rows = [tuple(_fmt(c) if i in texts else c for i, c in enumerate(row)) for row in rows]
+        template = ",".join("%s" if i in texts else "%.16e" for i in range(len(header)))
+        text = "\n".join([",".join(header), *(template % tuple(row) for row in rows)]) + "\n"
     if out is None:
         sys.stdout.write(text)
     else:

@@ -11,6 +11,7 @@ SI values enter only through optional conversion at the CLI boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 from scipy.special import roots_legendre, sici
@@ -32,9 +33,6 @@ _KERNEL_TAIL_BUDGET = 5e-10
 # z = cut*tau = 100, where 20 terms leave a relative error below 1e-17.
 _TAIL_SERIES_FROM = 100.0
 _TAIL_SERIES_TERMS = 20
-_GL_NODES, _GL_WEIGHTS = roots_legendre(16)
-# cos and sin of the node phases about the centre of a capped panel (4 rad wide)
-_CAPPED_PHASES = np.stack([np.cos(2.0 * _GL_NODES), np.sin(2.0 * _GL_NODES)])
 _PANEL_GROWTH = 1.5
 # 2048 panels of 16 nodes: 256 KiB per float array of a block.
 _KERNEL_BLOCK_PANELS = 2048
@@ -180,6 +178,18 @@ def xi(p: ModelParams) -> float:
     return 4.0 * np.pi * p.chi / (om * om)
 
 
+@cache
+def _panel_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes and weights of the 16-point Gauss-Legendre rule, and the cos and
+    sin of the node phases 2 xi_j about the centre of a capped panel.
+
+    Built on first use: the eigensolver behind roots_legendre leaves about
+    0.75 MiB of workspace resident, which runs without chirp need not carry.
+    """
+    nodes, weights = roots_legendre(16)
+    return nodes, weights, np.stack([np.cos(2.0 * nodes), np.sin(2.0 * nodes)])
+
+
 def _panel_edge(k, geo, cap):
     """Distance from the envelope peak of the k-th panel edge on one side:
     geometric up to edge ``geo``, then uniform steps of ``cap``."""
@@ -236,6 +246,7 @@ def _chirped_kernel(tau: np.ndarray, p: ModelParams) -> np.ndarray:
     panel centre, so the capped panels, whose nodes all sit at the phases
     2 xi_j about it, cost no trigonometric call per node.
     """
+    nodes, weights, capped_phases = _panel_rule()
     u = 0.5 * abs(p.chi) * tau
     cap = 4.0 / tau
     with np.errstate(over="ignore", invalid="ignore"):
@@ -247,17 +258,17 @@ def _chirped_kernel(tau: np.ndarray, p: ModelParams) -> np.ndarray:
         geo = np.maximum(np.floor(np.log(2.0 * cap) / np.log(_PANEL_GROWTH)) + 1.0, 0.0)
         left = _panels_to(u, geo, cap)
         counts = left + _panels_to(cut - u, geo, cap)
-        nodes = _GL_NODES.size * float(np.sum(counts))
-    if not nodes <= MAX_KERNEL_NODES:
+        total_nodes = nodes.size * float(np.sum(counts))
+    if not total_nodes <= MAX_KERNEL_NODES:
         raise ValidationError(
-            f"the memory-kernel lattice needs {nodes:.3g} quadrature nodes, above the limit "
+            f"the memory-kernel lattice needs {total_nodes:.3g} quadrature nodes, above the limit "
             f"{MAX_KERNEL_NODES:.3g}; lower --chi or --t-end"
         )
     ends = np.cumsum(counts.astype(np.int64))
     starts = ends - counts
     total = int(ends[-1])
     main = np.zeros_like(tau)
-    buf_minus = np.empty((_GL_NODES.size, _KERNEL_BLOCK_PANELS))
+    buf_minus = np.empty((nodes.size, _KERNEL_BLOCK_PANELS))
     buf_plus = np.empty_like(buf_minus)
     for first in range(0, total, _KERNEL_BLOCK_PANELS):
         panel = np.arange(first, min(first + _KERNEL_BLOCK_PANELS, total))
@@ -276,7 +287,7 @@ def _chirped_kernel(tau: np.ndarray, p: ModelParams) -> np.ndarray:
         half = np.where(capped, 0.5 * width, 0.5 * (far - near))
         offset = np.where(on_left, -0.5, 0.5) * (far + near)  # centre minus peak
         # x - u and x + u at the nodes (one row per node), then the envelope
-        x_minus = np.multiply(_GL_NODES[:, None], half, out=buf_minus[:, :panel.size])
+        x_minus = np.multiply(nodes[:, None], half, out=buf_minus[:, :panel.size])
         x_plus = np.add(x_minus, 2.0 * peak + offset, out=buf_plus[:, :panel.size])
         x_minus += offset
         x_minus *= x_minus
@@ -285,13 +296,14 @@ def _chirped_kernel(tau: np.ndarray, p: ModelParams) -> np.ndarray:
         x_plus += 1.0
         x_minus *= x_plus
         env = np.sqrt(x_minus, out=x_minus)
-        np.divide(_GL_WEIGHTS[:, None], env, out=env)
+        np.divide(weights[:, None], env, out=env)
         # sum_j w_j env_j (cos, sin)(tau half xi_j) per panel
-        cos_part, sin_part = np.einsum("kj,jp->kp", _CAPPED_PHASES, env)
+        cos_part, sin_part = np.einsum("kj,jp->kp", capped_phases, env)
         loose = np.flatnonzero(~capped)
-        beta = _GL_NODES[:, None] * (tau[lag[loose]] * half[loose])
-        cos_part[loose] = np.einsum("ij,ij->j", env[:, loose], np.cos(beta))
-        sin_part[loose] = np.einsum("ij,ij->j", env[:, loose], np.sin(beta))
+        env_loose = env[:, loose]
+        phase = nodes[:, None] * (tau[lag[loose]] * half[loose])
+        cos_part[loose] = np.einsum("ij,ij->j", env_loose, np.cos(phase))
+        sin_part[loose] = np.einsum("ij,ij->j", env_loose, np.sin(phase, out=phase))
         centre = tau[lag] * (peak + offset)
         sums = half * (np.cos(centre) * cos_part - np.sin(centre) * sin_part)
         main[lag[0]:lag[-1] + 1] += np.bincount(lag - lag[0], weights=sums)

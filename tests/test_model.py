@@ -182,7 +182,7 @@ def test_kernel_of_lag_array_matches_scalar_calls():
     values = memory_kernel(lags, p)
     assert values.shape == lags.shape
     for lag, value in zip(lags, values):
-        assert abs(value - memory_kernel(lag, p)) < 1e-14 * 9.0
+        assert abs(value - memory_kernel(lag, p)) < 1e-14 * p.d**2
 
 
 def test_rabi_frequency():
