@@ -125,10 +125,11 @@ def _write(out: str | None, result) -> None:
         header, rows = result
         # One %-format per row: a number goes to %.16e as it is, and a column
         # holding text has every cell formatted on its own first.
-        texts = {i for row in rows for i, cell in enumerate(row) if isinstance(cell, str)}
-        if texts:
-            rows = [tuple(_fmt(c) if i in texts else c for i, c in enumerate(row)) for row in rows]
-        template = ",".join("%s" if i in texts else "%.16e" for i in range(len(header)))
+        text_cols = {i for row in rows for i, cell in enumerate(row) if isinstance(cell, str)}
+        if text_cols:
+            rows = [tuple(_fmt(c) if i in text_cols else c for i, c in enumerate(row))
+                    for row in rows]
+        template = ",".join("%s" if i in text_cols else "%.16e" for i in range(len(header)))
         text = "\n".join([",".join(header), *(template % tuple(row) for row in rows)]) + "\n"
     if out is None:
         sys.stdout.write(text)

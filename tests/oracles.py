@@ -43,10 +43,11 @@ def kernel_convolution_oracle(tau: float, d: float, chi: float) -> float:
 
     The integrand is even about k = tau/2; in s = k - tau/2 the integral is
     split at the log singularity s = tau/2 (k = tau, mirrored to k = 0) and
-    at s = tau/2 + 1, each piece by QUADPACK's cosine-weighted QAWO and the
-    last by QAWF.  QAWO's Clenshaw-Curtis rule samples the singular endpoint,
-    so the integrand is set to 0 at that single point; bisection then closes
-    in on it with Gauss-Kronrod nodes, which never touch an endpoint.
+    at s = tau/2 + 1.  The two finite pieces go to QUADPACK's cosine-weighted
+    QAWO, the infinite one to QAWF, which thus never meets the singularity.
+    QAWO's Clenshaw-Curtis rule samples the singular endpoint, so the
+    integrand is set to 0 at that single point; bisection then closes in on
+    it with Gauss-Kronrod nodes, which never touch an endpoint.
     """
     omega = abs(chi) * tau
     h = 0.5 * tau
