@@ -8,6 +8,12 @@ quartic continuous extension of the pair (Shampine, Math. Comp. 46 (1986)
 135; Hairer, Norsett & Wanner, Solving ODEs I, sec. II.6), which reuses the
 step's seven stages and so costs no right-hand-side call.  Output is
 deterministic for a fixed configuration.
+
+The state and the seven stages are the rows of one (8, N) complex array.
+Every stage input, the error estimate and the dense output is a weighted
+sum of its rows with real weights, taken by a single ``np.einsum`` over the
+float view.  ``@`` or ``np.dot`` would call OpenBLAS, whose threads raise
+CPU time above wall time at these sizes.
 """
 
 from __future__ import annotations
@@ -51,31 +57,22 @@ _ABS_TOL = 1e-10
 # Interpolated states are handed to ``keep`` in blocks of at most this size.
 _BLOCK_BYTES = 2**20
 
+# Weights over the rows (y, k_0, ..., k_6) of the stack, before the factor
+# h: row i of _STAGE_W gives the input of stage i, y + h sum_j a_ij k_j (row
+# 6 is the fifth-order solution), and _ERR_W the error estimate over the
+# stages alone.
+_STAGE_W = np.array([(1.0, *row) + (0.0,) * (7 - len(row)) for row in _A])
+_ERR_W = np.array(_E)
+_POWERS = np.arange(1, 5)
 
-def _accumulate(out, tmp, y, h, coeffs, k):
-    """out = y + h * sum_j coeffs[j] * k[j], in place."""
-    np.copyto(out, y)
-    for c, kj in zip(coeffs, k):
-        if c:
-            np.multiply(kj, h * c, out=tmp)
-            out += tmp
 
-
-def _dense(y, k, theta, h):
-    """States at t + theta*h for each theta of an accepted step."""
-    q = np.zeros((theta.size, 7))
-    for col in _P.T[::-1]:
-        q = (q + col) * theta[:, None]
-    q *= h
-    block = np.empty((theta.size, y.size), dtype=complex)
-    block[:] = y
-    # The weights are real: on the float views they scale real and imaginary
-    # parts alike, without numpy's slower mixed real-complex multiply.
-    flat = block.view(float)
-    tmp = np.empty_like(flat)
-    for j in (0, 2, 3, 4, 5, 6):
-        np.multiply(q[:, j, None], k[j].view(float), out=tmp)
-        flat += tmp
+def _dense(stack, theta, h):
+    """States at t + theta*h for each theta of an accepted step: row t is
+    y + h sum_j b_j(theta_t) k_j, one einsum over the stack's float view."""
+    w = np.ones((theta.size, 8))
+    np.einsum("tm,jm->tj", h * theta[:, None] ** _POWERS, _P, out=w[:, 1:])
+    block = np.empty((theta.size, stack.shape[1]), dtype=complex)
+    np.einsum("tj,jn->tn", w, stack.view(float), out=block.view(float))
     return block
 
 
@@ -84,24 +81,25 @@ def integrate(rhs, t0, y0, sample_times, rel_tol=1e-8, *, keep):
 
     Returns ``(kept, n_steps)``: ``kept`` stacks ``keep(block)`` over the
     blocks of states at consecutive sample times (one state row per sample
-    time), and ``n_steps`` counts accepted steps.  ``rhs`` returns a new
-    complex array shaped like ``y``.  Sample times must be increasing and
-    start at or after ``t0``.  Each attempted step calls ``rhs`` six times,
-    plus once at the start.
+    time), and ``n_steps`` counts accepted steps.  ``rhs`` returns a complex
+    array shaped like ``y``; it is copied at once, so ``rhs`` may reuse it.
+    Sample times must be increasing and start at or after ``t0``.  Each
+    attempted step calls ``rhs`` six times, plus once at the start.
     """
     sample_times = np.asarray(sample_times, dtype=float)
     t = float(t0)
     t_last = float(sample_times[-1])
-    y = np.asarray(y0, dtype=complex).copy()
+    stack = np.empty((8, np.size(y0)), dtype=complex)
+    flat = stack.view(float)
+    y, k = stack[0], stack[1:]
+    y[:] = y0
     y_new = np.empty_like(y)
-    tmp = np.empty_like(y)
     err_vec = np.empty_like(y)
     rows = max(1, _BLOCK_BYTES // (16 * y.size))
     kept = []
     idx = int(np.searchsorted(sample_times, t + 1e-15, side="right"))
     if idx:
         kept.append(keep(np.tile(y, (idx, 1))))
-    k = [None] * 7
     k[0] = rhs(t, y)
 
     scale = _ABS_TOL + rel_tol * np.abs(y)
@@ -116,12 +114,15 @@ def integrate(rhs, t0, y0, sample_times, rel_tol=1e-8, *, keep):
             raise StepSizeUnderflowError(t)
         last = t + h >= t_last
         h_use = t_last - t if last else h
+        w = h_use * _STAGE_W
+        w[:, 0] = 1.0  # y takes no factor h
         for i in range(1, 7):
-            _accumulate(y_new, tmp, y, h_use, _A[i], k)
+            np.einsum("j,jn->n", w[i, :i + 1], flat[:i + 1], out=y_new.view(float))
             k[i] = rhs(t + _C[i] * h_use, y_new)
-        _accumulate(err_vec, tmp, 0.0, h_use, _E, k)
+        np.einsum("j,jn->n", h_use * _ERR_W, flat[1:], out=err_vec.view(float))
         scale = _ABS_TOL + rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-        err = np.sqrt(np.mean(np.abs(err_vec / scale) ** 2))
+        ratio = np.abs(err_vec) / scale
+        err = np.sqrt(np.einsum("i,i->", ratio, ratio) / y.size)
         if err <= 1.0:
             t_next = t_last if last else t + h_use
             stop = sample_times.size if last else int(
@@ -129,10 +130,10 @@ def integrate(rhs, t0, y0, sample_times, rel_tol=1e-8, *, keep):
             )
             for lo in range(idx, stop, rows):
                 theta = (sample_times[lo:min(stop, lo + rows)] - t) / h_use
-                kept.append(keep(_dense(y, k, theta, h_use)))
+                kept.append(keep(_dense(stack, theta, h_use)))
             idx = stop
             t = t_next
-            y, y_new = y_new, y
+            y[:] = y_new
             k[0] = k[6]  # first-same-as-last
             n_steps += 1
             fac = _SAFETY * (err + 1e-16) ** -0.14 * err_prev**0.08

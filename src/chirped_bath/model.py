@@ -37,9 +37,9 @@ _PANEL_GROWTH = 1.5
 # 2048 panels of 16 nodes: 256 KiB per float array of a block.
 _KERNEL_BLOCK_PANELS = 2048
 # A node costs 15-20 ns on a 2-CPU Xeon, so a lattice at this limit takes
-# 1-1.5 minutes, about what the march takes at volterra.MAX_STEPS.  Every
-# |chi| <= 400, t_end <= 2 fits at every step count (3.3e9 nodes at
-# chi = 400, t_end = 2, 65536 steps, where the lattice took 63 s).
+# 1-1.5 minutes.  Every |chi| <= 400, t_end <= 2 fits at every step count
+# (3.3e9 nodes at chi = 400, t_end = 2, 65536 steps, where the lattice took
+# 50-63 s).
 MAX_KERNEL_NODES = 4e9
 
 
@@ -83,7 +83,8 @@ class BathGrid:
             raise ValidationError(
                 f"grid count {det.size} does not match window/spacing ({expected} expected)"
             )
-        det = det.copy()
+        # Snap to the exact progression the RHS phase table assumes.
+        det = det[0] + self.spacing * np.arange(det.size)
         det.flags.writeable = False
         object.__setattr__(self, "detunings", det)
 

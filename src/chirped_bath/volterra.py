@@ -21,9 +21,10 @@ from .model import ModelParams, memory_kernel
 
 DEFAULT_STEPS = 1024
 # The march grows as steps^2 and the lattice as the lag count times the
-# quadrature nodes per lag.  A solve at this limit on a 2-CPU Xeon took 54 s
-# without chirp (all march), 69 s at d = 8, chi = 100, t_end = 2 (lattice
-# 25 s) and 124 s at chi = 400 (lattice 63 s).
+# quadrature nodes per lag.  A solve at this limit on a 2-CPU Xeon took 8 s
+# without chirp (all march; its long dots run on two OpenBLAS threads, 16 s
+# CPU), 27 s at d = 8, chi = 100, t_end = 2 (lattice 19 s) and 57 s at
+# chi = 400 (lattice 50 s).
 MAX_STEPS = 65536
 
 
@@ -45,6 +46,9 @@ class VolterraSolution(Trajectory):
 
 def _march(kernel_values: np.ndarray, h: float, n: int) -> np.ndarray:
     """Implicit-trapezoid product integration; kernel_values[j] = K(j*h)."""
+    # rev[n - j] = K(j*h) as complex, cast once: each step's convolution sums
+    # are then dots of two contiguous complex slices.
+    rev = kernel_values[::-1].astype(complex)
     c = np.empty(n + 1, dtype=complex)
     c[0] = 1.0
     k0 = kernel_values[0]
@@ -55,10 +59,10 @@ def _march(kernel_values: np.ndarray, h: float, n: int) -> np.ndarray:
         else:
             q_here = h * (
                 0.5 * kernel_values[m] * c[0]
-                + np.dot(kernel_values[m - 1:0:-1], c[1:m])
+                + np.dot(rev[n - m + 1:n], c[1:m])
                 + 0.5 * k0 * c[m]
             )
-        q_next = h * (0.5 * kernel_values[m + 1] * c[0] + np.dot(kernel_values[m:0:-1], c[1:m + 1]))
+        q_next = h * (0.5 * kernel_values[m + 1] * c[0] + np.dot(rev[n - m:n], c[1:m + 1]))
         c[m + 1] = (c[m] - 0.5 * h * (q_here + q_next)) / denom
     return c
 

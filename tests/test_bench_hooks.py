@@ -6,6 +6,8 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import numpy as np
+
 from chirped_bath import _rk
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
@@ -27,3 +29,24 @@ def test_traced_names_exist():
     ]
     assert missing == []
     assert {"rhs", "y0", "sample_times"} <= set(inspect.signature(_rk.integrate).parameters)
+
+
+def test_integrate_calls_rhs_with_two_arguments_and_uses_its_result():
+    """The tracer counts and times RHS calls by wrapping ``rhs`` in a
+    function of (t, y) that passes on the array ``rhs`` returns.  An
+    integrator that called ``rhs(t, y, out)`` or read its result from a
+    buffer would break that wrapper, or make ``dynamics.rhs_s`` read 0."""
+    tracer = _load_tracing().Tracer()
+    calls = []
+
+    def rhs(t, y):
+        calls.append(t)
+        return -2j * y
+
+    states, _ = tracer._integrate(_rk.integrate)(
+        rhs, 0.0, np.ones(3, dtype=complex), np.array([0.0, 1.0]), keep=lambda block: block
+    )
+    (span,) = tracer.take()
+    assert span["attrs"]["rhs_evals"] == len(calls) > 1
+    assert span["attrs"]["rhs_s"] > 0.0
+    assert np.max(np.abs(states[-1] - np.exp(-2j))) < 1e-7

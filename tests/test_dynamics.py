@@ -169,3 +169,38 @@ def test_samples_do_not_keep_the_state_matrix():
     kept = cb.evolve(grid, p, 2.0, store_modes=True)
     assert kept.modes.shape == (2001, 1001)
     assert np.array_equal(kept.pa, traj.pa)
+
+
+def _direct_rhs(grid, p, t, y):
+    """The amplitude equations written out: each mode's coupling times its
+    full phase e^{-i(det t + chi t^2 / 2)}."""
+    det = grid.detunings
+    gp = cb.coupling(det + p.chi * t, grid.spacing, p) * np.exp(
+        -1j * (det * t + 0.5 * p.chi * t * t)
+    )
+    return np.concatenate(([-1j * np.dot(gp, y[1:])], -1j * y[0] * np.conj(gp)))
+
+
+@pytest.mark.parametrize("chi", [0.0, 400.0, -400.0])
+@pytest.mark.parametrize("hand_built", [False, True], ids=["build_grid", "hand_built"])
+def test_tabulated_rhs_matches_direct_formula(chi, hand_built):
+    """The phase table (a scalar times the outer product of two short
+    exponential tables) gives the written-out RHS up to t = pi *
+    modes_per_gamma, also on a grid whose first detuning is no multiple of
+    the spacing.  The chirped grids have one mode per gamma so that the
+    phase stays near 2000 rad, where its own double rounding is below 1e-12."""
+    p = cb.ModelParams(d=2.0, chi=chi)
+    modes_per_gamma = 10.0 if chi == 0 else 1.0
+    horizon = np.pi * modes_per_gamma
+    if hand_built:
+        spacing = 1.0 / modes_per_gamma
+        grid = cb.BathGrid(detunings=-12.345 + spacing * np.arange(300), spacing=spacing)
+    else:
+        grid = cb.build_grid(p, horizon, modes_per_gamma=modes_per_gamma)
+    assert grid.size % 64
+    rng = np.random.default_rng(3)
+    y = rng.normal(size=grid.size + 1) + 1j * rng.normal(size=grid.size + 1)
+    rhs = dynamics._make_rhs(grid, p)
+    for t in np.append(np.linspace(0.0, horizon, 5), 0.7317):
+        want = _direct_rhs(grid, p, t, y)
+        assert np.max(np.abs(rhs(t, y) - want)) <= 1e-12 * np.max(np.abs(want))

@@ -198,3 +198,25 @@ def test_xi_values():
     assert xi(ModelParams(d=8.0, chi=2.0)) == pytest.approx(0.098560, abs=1e-5)
     with pytest.raises(ValidationError):
         xi(ModelParams(d=0.4, chi=1.0))
+
+
+def test_grid_snaps_to_exact_progression():
+    """Detunings uniform to 1e-10 of the spacing are stored as the exact
+    progression det_0 + spacing * j that the RHS phase table assumes."""
+    spacing = 0.1
+    exact = -7.3 + spacing * np.arange(500)
+    jitter = 1e-10 * spacing * np.random.default_rng(1).uniform(-1.0, 1.0, exact.size)
+    jitter[0] = 0.0
+    assert not np.array_equal(exact + jitter, exact)
+    grid = BathGrid(detunings=exact + jitter, spacing=spacing)
+    assert np.array_equal(grid.detunings, exact)
+
+
+def test_build_grid_unchanged_by_snap():
+    """A built grid differs from spacing * arange(-n_low, n_high + 1) by
+    rounding alone."""
+    for p, horizon in ((ModelParams(d=8.0), 1.0), (ModelParams(d=2.0, chi=-50.0), 3.0)):
+        grid = build_grid(p, horizon)
+        n_low = round(-grid.window[0] / grid.spacing)
+        unsnapped = grid.spacing * np.arange(-n_low, grid.size - n_low)
+        assert np.max(np.abs(grid.detunings - unsnapped)) <= 4e-16 * np.max(np.abs(unsnapped))
