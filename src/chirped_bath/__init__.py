@@ -29,11 +29,7 @@ from .closedform import (
     weak_gamma_t,
     weak_lowchirp_gamma,
 )
-from .dynamics import (
-    IntegratorConfig,
-    Trajectory,
-    evolve,
-)
+from .dynamics import Trajectory, evolve
 from .errors import (
     GridCoverageError,
     SolverError,
@@ -59,7 +55,7 @@ from .spectra import (
     spectrum_closure,
     static_ck,
 )
-from .volterra import VolterraConfig, VolterraSolution, solve_volterra
+from .volterra import VolterraSolution, solve_volterra
 
 __version__ = "0.1.0"
 
@@ -67,7 +63,6 @@ __all__ = [
     "BathGrid",
     "DecayFit",
     "GridCoverageError",
-    "IntegratorConfig",
     "ModelParams",
     "RabiMeasurement",
     "RegimeReport",
@@ -76,7 +71,6 @@ __all__ = [
     "StepSizeUnderflowError",
     "Trajectory",
     "ValidationError",
-    "VolterraConfig",
     "VolterraSolution",
     "analytic_static_spectrum",
     "bessel_k0i_abs2",

@@ -21,11 +21,11 @@ import numpy as np
 
 from .analysis import classify, dimensionless_chi, fit_decay, mirror_chirp
 from .closedform import gamma_infinity
-from .dynamics import IntegratorConfig, evolve
+from .dynamics import DEFAULT_SAMPLE_EVERY, evolve
 from .errors import SolverError, ValidationError
-from .model import ModelParams, build_grid, xi
+from .model import DEFAULT_MODES_PER_GAMMA, ModelParams, build_grid, xi
 from .spectra import numeric_spectrum, spectrum_closure
-from .volterra import VolterraConfig, solve_volterra
+from .volterra import DEFAULT_STEPS, solve_volterra
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -34,8 +34,8 @@ EXIT_SOLVER = 3
 # Sweep fits and spectrum snapshots run at a slightly relaxed tolerance: the
 # quantities extracted from them carry percent-level tolerances, and the
 # relaxation keeps every preset comfortably inside a desk-scale time budget.
-SWEEP_REL_TOL = 1e-7
-SPECTRUM_REL_TOL = 1e-7
+# Trajectories (simulate) run at evolve's own default.
+RELAXED_REL_TOL = 1e-7
 FIT_WINDOW = (0.1, 1.0)
 FIT_T_END = 1.5
 
@@ -145,9 +145,8 @@ def simulate_table(
     d: float,
     t_end: float,
     chi: float = 0.0,
-    modes_per_gamma: float = 10.0,
-    rel_tol: float = 1e-8,
-    sample_every: float = 1e-3,
+    modes_per_gamma: float = DEFAULT_MODES_PER_GAMMA,
+    sample_every: float = DEFAULT_SAMPLE_EVERY,
     with_static: bool = False,
     with_markov: bool = False,
 ):
@@ -155,14 +154,13 @@ def simulate_table(
     reference run on the same sample times and the flat-rate overlay."""
     p = ModelParams(d=d, chi=chi)
     grid = build_grid(p, t_end, modes_per_gamma)
-    cfg = IntegratorConfig(rel_tol=rel_tol, sample_every=sample_every)
-    traj = evolve(grid, p, t_end, cfg)
+    traj = evolve(grid, p, t_end, sample_every=sample_every)
     header = ["t", "pa", "norm"]
     columns = [traj.times, traj.pa, traj.norms]
     if with_static:
         p0 = ModelParams(d=d, chi=0.0)
         grid0 = build_grid(p0, t_end, modes_per_gamma)
-        traj0 = evolve(grid0, p0, t_end, cfg)
+        traj0 = evolve(grid0, p0, t_end, sample_every=sample_every)
         header += ["pa_static", "norm_static"]
         columns += [traj0.pa, traj0.norms]
     if with_markov:
@@ -171,19 +169,15 @@ def simulate_table(
     return header, list(zip(*columns))
 
 
-def volterra_table(d: float, t_end: float, chi: float = 0.0, steps: int = 1024):
+def volterra_table(d: float, t_end: float, chi: float = 0.0, steps: int = DEFAULT_STEPS):
     """Memory-kernel trajectory; its Richardson error estimate goes to stderr."""
-    sol = solve_volterra(ModelParams(d=d, chi=chi), t_end, VolterraConfig(steps=steps))
+    sol = solve_volterra(ModelParams(d=d, chi=chi), t_end, steps)
     print(f"richardson error estimate: {sol.richardson_error:.3e}", file=sys.stderr)
     return ["t", "pa"], list(zip(sol.times, sol.pa))
 
 
 def spectrum_table(
-    d: float,
-    times: list[float],
-    chi: float = 0.0,
-    modes_per_gamma: float = 10.0,
-    rel_tol: float = SPECTRUM_REL_TOL,
+    d: float, times: list[float], chi: float = 0.0, modes_per_gamma: float = DEFAULT_MODES_PER_GAMMA
 ):
     """Long-format spectrum snapshots (t, detuning_now, S, closure)."""
     if not times:
@@ -194,8 +188,7 @@ def spectrum_table(
     p = ModelParams(d=d, chi=chi)
     t_end = float(snap[-1])
     grid = build_grid(p, t_end, modes_per_gamma)
-    cfg = IntegratorConfig(rel_tol=rel_tol)
-    traj = evolve(grid, p, t_end, cfg, sample_times=snap, store_modes=True)
+    traj = evolve(grid, p, t_end, rel_tol=RELAXED_REL_TOL, sample_times=snap, store_modes=True)
     rows = []
     for t, pa, c_modes in zip(traj.times, traj.pa, traj.modes):
         series = numeric_spectrum(c_modes, t, grid, p)
@@ -211,9 +204,7 @@ def gamma_inf_table(
     chi_points: int = 61,
     fit_d: float | None = None,
     fit_chis: list[float] | None = None,
-    fit_t_end: float = FIT_T_END,
-    rel_tol: float = SWEEP_REL_TOL,
-    modes_per_gamma: float = 10.0,
+    modes_per_gamma: float = DEFAULT_MODES_PER_GAMMA,
 ):
     """Analytic flat-rate sweep, with numerically fitted rates at selected
     points; rows are sorted by (d, chi)."""
@@ -230,8 +221,8 @@ def gamma_inf_table(
         raise ValidationError("fit_chis given without fit_d")
     for chi in fit_chis or ():
         p = ModelParams(d=fit_d, chi=chi)
-        grid = build_grid(p, fit_t_end, modes_per_gamma)
-        traj = evolve(grid, p, fit_t_end, IntegratorConfig(rel_tol=rel_tol))
+        grid = build_grid(p, FIT_T_END, modes_per_gamma)
+        traj = evolve(grid, p, FIT_T_END, rel_tol=RELAXED_REL_TOL)
         key = (float(fit_d), float(chi))
         if key not in entries:
             entries[key] = [gamma_infinity(p), None]
@@ -337,8 +328,7 @@ COMMANDS: dict[str, _Command] = {
         "discrete-bath trajectory CSV",
         {
             "d": float, "chi": float, "t_end": float, "modes_per_gamma": float,
-            "rel_tol": float, "sample_every": float,
-            "with_static": _parse_bool, "with_markov": _parse_bool,
+            "sample_every": float, "with_static": _parse_bool, "with_markov": _parse_bool,
         },
         ("d", "t_end"),
     ),
@@ -354,17 +344,14 @@ COMMANDS: dict[str, _Command] = {
         {
             "d_list": _parse_float_list, "chi_min": float, "chi_max": float,
             "chi_points": int, "fit_d": float, "fit_chis": _parse_float_list,
-            "fit_t_end": float, "rel_tol": float, "modes_per_gamma": float,
+            "modes_per_gamma": float,
         },
         ("d_list",),
     ),
     "spectrum": _Command(
         "spectrum_table",
         "bath spectrum snapshots CSV",
-        {
-            "d": float, "chi": float, "times": _parse_float_list,
-            "modes_per_gamma": float, "rel_tol": float,
-        },
+        {"d": float, "chi": float, "times": _parse_float_list, "modes_per_gamma": float},
         ("d", "times"),
     ),
     "classify": _Command(

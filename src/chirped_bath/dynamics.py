@@ -29,17 +29,6 @@ _PA_MAX = 1 + 1e-6
 _TABLE_WIDTH = 64
 
 
-@dataclass(frozen=True)
-class IntegratorConfig:
-    rel_tol: float = 1e-8
-    sample_every: float = DEFAULT_SAMPLE_EVERY
-
-    def __post_init__(self) -> None:
-        for name in ("rel_tol", "sample_every"):
-            if not 0 < getattr(self, name) < np.inf:
-                raise ValidationError(f"{name} must be positive and finite")
-
-
 @dataclass
 class Trajectory:
     """Time-ordered observable series; ``modes``, when kept, holds one row
@@ -133,8 +122,9 @@ def evolve(
     grid: BathGrid,
     p: ModelParams,
     t_end: float,
-    cfg: IntegratorConfig | None = None,
     *,
+    rel_tol: float = 1e-8,
+    sample_every: float = DEFAULT_SAMPLE_EVERY,
     sample_times: np.ndarray | None = None,
     store_modes: bool = False,
 ) -> Trajectory:
@@ -145,14 +135,15 @@ def evolve(
     1e5-1e6 modes.  The norm may drift by at most 10 * rel_tol * t_end at
     any sample.
     """
-    if cfg is None:
-        cfg = IntegratorConfig()
+    for name, value in (("rel_tol", rel_tol), ("sample_every", sample_every)):
+        if not 0 < value < np.inf:
+            raise ValidationError(f"{name} must be positive and finite, got {value}")
     if not t_end > 0:
         raise ValidationError(f"t_end must be positive, got {t_end}")
     _check_coverage(grid, p, t_end)
 
     times = None if sample_times is None else np.asarray(sample_times, dtype=float)
-    count = t_end / cfg.sample_every + 2 if times is None else times.size
+    count = t_end / sample_every + 2 if times is None else times.size
     size = count * (grid.size + 1) * 16.0
     if size > MAX_SAMPLE_BYTES:
         raise ValidationError(
@@ -161,7 +152,7 @@ def evolve(
             "raise --sample-every"
         )
     if times is None:
-        times = _sample_times(t_end, cfg.sample_every)
+        times = _sample_times(t_end, sample_every)
     elif times.size == 0 or np.any(np.diff(times) <= 0):
         raise ValidationError("sample_times must be non-empty and strictly increasing")
     elif times[0] < -1e-12 or times[-1] > t_end + 1e-12:
@@ -177,14 +168,14 @@ def evolve(
         sums = np.stack([np.einsum("tn,tn->t", f[:, :2], f[:, :2]), np.einsum("tn,tn->t", f, f)], 1)
         return np.hstack([sums, states[:, 1:]]) if store_modes else sums
 
-    kept, _ = _rk.integrate(rhs, 0.0, y0, times, rel_tol=cfg.rel_tol, keep=keep)
+    kept, _ = _rk.integrate(rhs, 0.0, y0, times, rel_tol=rel_tol, keep=keep)
     pa, norms = kept[:, 0].real, kept[:, 1].real
     drift = float(np.max(np.abs(norms - 1.0)))
-    budget = 10.0 * cfg.rel_tol * t_end
+    budget = 10.0 * rel_tol * t_end
     if drift > budget:
         raise SolverError(
             f"norm drifted by up to {drift:.3e} over [0, {t_end:g}], "
-            f"beyond the {budget:.3e} budget for rel_tol = {cfg.rel_tol:g}"
+            f"beyond the {budget:.3e} budget for rel_tol = {rel_tol:g}"
         )
     _check_population(pa)
     modes = kept[:, 2:] if store_modes else None

@@ -21,20 +21,11 @@ from .model import ModelParams, memory_kernel
 
 DEFAULT_STEPS = 1024
 # The march grows as steps^2 and the lattice as the lag count times the
-# quadrature nodes per lag.  A solve at this limit on a 2-CPU Xeon took 8 s
-# without chirp (all march; its long dots run on two OpenBLAS threads, 16 s
-# CPU), 27 s at d = 8, chi = 100, t_end = 2 (lattice 19 s) and 57 s at
-# chi = 400 (lattice 50 s).
+# quadrature nodes per lag.  A solve at this limit on a 2-CPU Xeon took 4 s
+# without chirp (all march; its long dots run on two OpenBLAS threads, 8 s
+# CPU), 21 s at d = 8, chi = 100, t_end = 2 and 57 s at chi = 400 (lattice
+# 19 s and 50 s).
 MAX_STEPS = 65536
-
-
-@dataclass(frozen=True)
-class VolterraConfig:
-    steps: int = DEFAULT_STEPS
-
-    def __post_init__(self) -> None:
-        if not 16 <= self.steps <= MAX_STEPS:
-            raise ValidationError(f"steps must lie in [16, {MAX_STEPS}], got {self.steps}")
 
 
 @dataclass
@@ -46,24 +37,20 @@ class VolterraSolution(Trajectory):
 
 def _march(kernel_values: np.ndarray, h: float, n: int) -> np.ndarray:
     """Implicit-trapezoid product integration; kernel_values[j] = K(j*h)."""
-    # rev[n - j] = K(j*h) as complex, cast once: each step's convolution sums
-    # are then dots of two contiguous complex slices.
+    # rev[n - j] = K(j*h) as complex, cast once: each step's convolution sum
+    # is then one dot of two contiguous complex slices.
     rev = kernel_values[::-1].astype(complex)
     c = np.empty(n + 1, dtype=complex)
     c[0] = 1.0
     k0 = kernel_values[0]
     denom = 1.0 + 0.25 * h * h * k0
+    # q_here: trapezoid sum of K(t_m - s) c(s) over [0, t_m]; q_next: the
+    # same over [0, t_m+1] without its implicit end term 0.5 h K(0) c[m+1].
+    q_here = 0.0
     for m in range(n):
-        if m == 0:
-            q_here = 0.0
-        else:
-            q_here = h * (
-                0.5 * kernel_values[m] * c[0]
-                + np.dot(rev[n - m + 1:n], c[1:m])
-                + 0.5 * k0 * c[m]
-            )
         q_next = h * (0.5 * kernel_values[m + 1] * c[0] + np.dot(rev[n - m:n], c[1:m + 1]))
         c[m + 1] = (c[m] - 0.5 * h * (q_here + q_next)) / denom
+        q_here = q_next + 0.5 * h * k0 * c[m + 1]
     return c
 
 
@@ -71,17 +58,17 @@ def _lag_lattice(p: ModelParams, h: float, n: int) -> np.ndarray:
     return memory_kernel(h * np.arange(n + 1), p)
 
 
-def solve_volterra(p: ModelParams, t_end: float, cfg: VolterraConfig | None = None) -> VolterraSolution:
+def solve_volterra(p: ModelParams, t_end: float, steps: int = DEFAULT_STEPS) -> VolterraSolution:
     """Solve the memory-kernel equation on [0, t_end] with c_a(0) = 1.
 
     Returns the half-step (finer) solution; ``richardson_error`` bounds its
     pa error as max|pa_h - pa_h/2| / 3 over the coarse time points.
     """
-    if cfg is None:
-        cfg = VolterraConfig()
+    if not 16 <= steps <= MAX_STEPS:
+        raise ValidationError(f"steps must lie in [16, {MAX_STEPS}], got {steps}")
     if not 0 < t_end < np.inf:
         raise ValidationError(f"t_end must be positive and finite, got {t_end}")
-    n = int(cfg.steps)
+    n = int(steps)
     h = t_end / n
     fine = _lag_lattice(p, 0.5 * h, 2 * n)
     coarse = fine[::2]

@@ -140,26 +140,25 @@ def test_criterion_06_unitarity(figures_dir):
 
 def test_criterion_07_route_agreement(figures_dir, weak_static_run):
     fig4 = _read(figures_dir, "fig4")
-    cfg = cb.VolterraConfig(steps=VOLTERRA_STEPS)
     # static strong coupling: discrete bath vs kernel solver vs closed form
-    v0 = cb.solve_volterra(cb.ModelParams(d=8.0, chi=0.0), 1.0, cfg)
+    v0 = cb.solve_volterra(cb.ModelParams(d=8.0, chi=0.0), 1.0, steps=VOLTERRA_STEPS)
     assert np.max(np.abs(v0.times - fig4["t"])) < 1e-9
     exact = np.abs(cb.static_exact_ca(v0.times, cb.ModelParams(d=8.0))) ** 2
     assert np.max(np.abs(fig4["pa_static"] - v0.pa)) < 2e-3
     assert np.max(np.abs(v0.pa - exact)) < 2e-3
     assert np.max(np.abs(fig4["pa_static"] - exact)) < 2e-3
     # high chirp: discrete bath vs kernel solver
-    v400 = cb.solve_volterra(cb.ModelParams(d=8.0, chi=400.0), 1.0, cfg)
+    v400 = cb.solve_volterra(cb.ModelParams(d=8.0, chi=400.0), 1.0, steps=VOLTERRA_STEPS)
     assert np.max(np.abs(fig4["pa"] - v400.pa)) < 2e-3
     # intermediate chirp over the first unit of time
     fig6 = _read(figures_dir, "fig6")
     head = fig6["t"] <= 1.0 + 1e-9
-    v20 = cb.solve_volterra(cb.ModelParams(d=8.0, chi=20.0), 1.0, cfg)
+    v20 = cb.solve_volterra(cb.ModelParams(d=8.0, chi=20.0), 1.0, steps=VOLTERRA_STEPS)
     assert np.max(np.abs(v20.times - fig6["t"][head])) < 1e-9
     assert np.max(np.abs(fig6["pa"][head] - v20.pa)) < 2e-3
     # weak static: discrete bath vs kernel solver vs pseudomode pair
     p_weak = cb.ModelParams(d=0.2, chi=0.0)
-    vw = cb.solve_volterra(p_weak, 1.0, cfg)
+    vw = cb.solve_volterra(p_weak, 1.0, steps=VOLTERRA_STEPS)
     pm = cb.pseudomode_solve(p_weak, 1.0)
     assert np.max(np.abs(vw.times - weak_static_run.times)) < 1e-9
     assert np.max(np.abs(pm.times - weak_static_run.times)) < 1e-9

@@ -83,8 +83,8 @@ def _overshoot_march(monkeypatch):
 @pytest.mark.parametrize(
     "patch, argv",
     [
-        # at rel_tol 1e-3 the norm budget is 1e-2, so only the pa check can fire
-        (_overshoot_integrate, ["simulate", "--d", "0.2", "--t-end", "1", "--rel-tol", "1e-3"]),
+        # the patch edits only the pa column, so only the pa check can fire
+        (_overshoot_integrate, ["simulate", "--d", "0.2", "--t-end", "1"]),
         (_overshoot_march, ["volterra", "--d", "0.2", "--t-end", "0.5", "--steps", "16"]),
     ],
     ids=["simulate", "volterra"],
@@ -96,6 +96,7 @@ def test_solver_overshoot_exits_3(tmp_path, capsys, monkeypatch, patch, argv):
     assert cli.main(argv + ["--out", str(tmp_path / "a.csv")]) == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("solver failure: ")
+    assert "pa reached" in err[0]
 
 
 def test_simulate_columns(tmp_path):
@@ -113,6 +114,25 @@ def test_simulate_columns(tmp_path):
     assert table.shape == (301,)
     assert abs(table["norm"][-1] - 1.0) < 1e-6
     assert table["pa_markov"][0] == pytest.approx(1.0)
+
+
+def test_simulate_ends_on_t_end_off_the_sample_grid(tmp_path):
+    """A t_end between two sample times is appended as the last row."""
+    out = tmp_path / "a.csv"
+    assert cli.main(["simulate", "--d", "0.2", "--t-end", "0.1005", "--out", str(out)]) == 0
+    table = _read_csv(out)
+    assert table.shape == (102,)
+    assert table["t"][-2] == pytest.approx(0.1)
+    assert table["t"][-1] == 0.1005
+
+
+@pytest.mark.parametrize("value", ["yes", "off"])
+def test_config_bool_words(tmp_path, value):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"d = 0.2\nt_end = 0.01\nwith_static = {value}\n")
+    out = tmp_path / "a.csv"
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    assert ("pa_static" in out.read_text().splitlines()[0]) == (value == "yes")
 
 
 def test_volterra_command(tmp_path, capsys):
@@ -199,7 +219,8 @@ def test_gamma_inf_sweep(tmp_path):
         (["simulate", "--d", "0.2", "--t-end", "0.1", "--chi", "nan"], None, "a.csv"),
         (["classify", "--d", "2"], None, "missing/a.csv"),
         (["simulate", "--d", "0.2", "--t-end", "70"], None, "a.csv"),
-        (["simulate", "--d", "0.2", "--t-end", "0.1", "--rel-tol", "inf"], None, "a.csv"),
+        # rel_tol is no longer a key: the config file naming it is refused
+        (["simulate", "--d", "0.2", "--t-end", "0.1"], "rel_tol = inf\n", "a.csv"),
         pytest.param(
             ["gamma-inf", "--d-list", "1", "--chi-min", "1", "--chi-max", "inf",
              "--chi-points", "3"],
@@ -221,12 +242,13 @@ def test_gamma_inf_sweep(tmp_path):
         (["simulate", "--d", "1", "--t-end", "1", "--sample-every", "1e-300"], None, "a.csv"),
         (["volterra", "--d", "1", "--chi", "1e12", "--t-end", "1", "--steps", "16"],
          None, "a.csv"),
+        (["simulate", "--d", "0.2", "--t-end", "0.01"], "with_static = maybe\n", "a.csv"),
     ],
     ids=[
         "config-text", "t-end-inf", "chi-inf", "chi-nan", "out-unwritable",
         "past-recurrence", "rel-tol-inf", "chi-max-inf", "mirror-nan", "mirror-negative",
         "mirror-gamma-underflow", "mirror-gamma-overflow", "mirror-chi-overflow",
-        "sample-every-tiny", "kernel-nodes",
+        "sample-every-tiny", "kernel-nodes", "bool-maybe",
     ],
 )
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, config, out):

@@ -23,10 +23,12 @@ def test_starts_excited_with_empty_bath():
 
 
 def test_integrator_config_validation():
+    p = cb.ModelParams(d=0.2)
+    grid = cb.build_grid(p, 0.1)
     with pytest.raises(cb.ValidationError):
-        cb.IntegratorConfig(rel_tol=0.0)
+        cb.evolve(grid, p, 0.1, rel_tol=0.0)
     with pytest.raises(cb.ValidationError):
-        cb.IntegratorConfig(sample_every=-1e-3)
+        cb.evolve(grid, p, 0.1, sample_every=-1e-3)
 
 
 def test_trajectory_validation():

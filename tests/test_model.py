@@ -83,6 +83,9 @@ def test_coupling_translation_covariance():
 def test_grid_validation():
     with pytest.raises(ValidationError):
         BathGrid(detunings=np.array([0.0, 0.1, 0.3]), spacing=0.1)
+    for spacing in (np.nan, np.inf, 0.0, -0.1):
+        with pytest.raises(ValidationError, match="spacing"):
+            BathGrid(detunings=np.array([0.0, 0.1, 0.2]), spacing=spacing)
     grid = build_grid(ModelParams(d=0.2), 1.0)
     with pytest.raises(ValueError):
         grid.detunings[0] = -99.0

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from chirped_bath import _rk
+from chirped_bath.errors import StepSizeUnderflowError
 
 OMEGA = np.array([0.5, 3.0, 10.0])
 T_LAST = 2.0
@@ -72,3 +73,14 @@ def test_rhs_calls_are_one_plus_six_per_attempt(jump):
     assert attempts == n_steps + rejected
     assert (rejected > 0) == (jump > 1.0)
     assert calls.max() <= T_LAST * (1 + 1e-15)
+
+
+def test_step_size_underflow_at_blow_up():
+    """y' = y^2 from y(0) = 1 is 1 / (1 - t): the steps shrink to nothing at
+    t = 1, and the integrator says so instead of looping."""
+    with pytest.raises(StepSizeUnderflowError) as exc:
+        _rk.integrate(
+            lambda t, y: y * y, 0.0, np.ones(1, dtype=complex), np.array([0.0, T_LAST]),
+            keep=lambda block: block,
+        )
+    assert exc.value.t == pytest.approx(1.0, abs=1e-6)

@@ -10,10 +10,8 @@ import chirped_bath as cb
 
 def _evolved(p, t_end, snap_times, rel_tol=1e-7):
     grid = cb.build_grid(p, t_end)
-    cfg = cb.IntegratorConfig(rel_tol=rel_tol)
-    traj = cb.evolve(
-        grid, p, t_end, cfg, sample_times=np.asarray(snap_times, dtype=float), store_modes=True
-    )
+    snap = np.asarray(snap_times, dtype=float)
+    traj = cb.evolve(grid, p, t_end, rel_tol=rel_tol, sample_times=snap, store_modes=True)
     return traj, grid
 
 

@@ -10,11 +10,12 @@ from chirped_bath import volterra
 
 
 def test_config_validation():
+    p = cb.ModelParams(d=1.0)
     with pytest.raises(cb.ValidationError):
-        cb.VolterraConfig(steps=8)
+        cb.solve_volterra(p, 0.1, steps=8)
     with pytest.raises(cb.ValidationError):
-        cb.VolterraConfig(steps=10**20)
-    cb.VolterraConfig(steps=16)
+        cb.solve_volterra(p, 0.1, steps=10**20)
+    cb.solve_volterra(p, 0.1, steps=16)
 
 
 def test_t_end_validation():
@@ -23,7 +24,7 @@ def test_t_end_validation():
 
 
 def test_time_grid_and_bounds():
-    sol = cb.solve_volterra(cb.ModelParams(d=1.0), 0.8, cb.VolterraConfig(steps=32))
+    sol = cb.solve_volterra(cb.ModelParams(d=1.0), 0.8, steps=32)
     assert np.allclose(sol.times, np.linspace(0.0, 0.8, 65))
     assert sol.pa[0] == 1.0
     assert np.all(sol.pa >= 0.0) and np.all(sol.pa <= 1.0 + 1e-6)
@@ -32,7 +33,7 @@ def test_time_grid_and_bounds():
 
 def test_static_strong_coupling_matches_exact():
     p = cb.ModelParams(d=8.0)
-    sol = cb.solve_volterra(p, 1.0, cb.VolterraConfig(steps=500))
+    sol = cb.solve_volterra(p, 1.0, steps=500)
     exact = np.abs(cb.static_exact_ca(sol.times, p)) ** 2
     assert np.max(np.abs(sol.pa - exact)) < 1e-3
 
@@ -41,20 +42,20 @@ def test_richardson_estimate_bounds_step_halving():
     """Going to a much finer step moves the answer by less than 4x the
     reported estimate (the march is second order, so the factor is ~1)."""
     p = cb.ModelParams(d=8.0, chi=20.0)
-    sol = cb.solve_volterra(p, 1.0, cb.VolterraConfig(steps=128))
-    ref = cb.solve_volterra(p, 1.0, cb.VolterraConfig(steps=1024))
+    sol = cb.solve_volterra(p, 1.0, steps=128)
+    ref = cb.solve_volterra(p, 1.0, steps=1024)
     actual = np.max(np.abs(sol.pa - ref.pa[::8]))
     assert actual < 4.0 * sol.richardson_error
 
 
 def test_vanishing_coupling_keeps_population():
-    sol = cb.solve_volterra(cb.ModelParams(d=1e-4), 1.0, cb.VolterraConfig(steps=64))
+    sol = cb.solve_volterra(cb.ModelParams(d=1e-4), 1.0, steps=64)
     assert np.max(np.abs(sol.pa - 1.0)) < 1e-6
 
 
 def test_chirped_cross_check_against_dynamics():
     p = cb.ModelParams(d=8.0, chi=20.0)
-    sol = cb.solve_volterra(p, 1.0, cb.VolterraConfig(steps=500))
+    sol = cb.solve_volterra(p, 1.0, steps=500)
     grid = cb.build_grid(p, 1.0)
     traj = cb.evolve(grid, p, 1.0)
     assert traj.times.size == sol.times.size
@@ -66,7 +67,7 @@ def test_fast_chirp_flat_rate():
     """At high chirp the memory collapses and the solution decays at the
     flat Markovian rate."""
     p = cb.ModelParams(d=8.0, chi=400.0)
-    sol = cb.solve_volterra(p, 1.0, cb.VolterraConfig(steps=500))
+    sol = cb.solve_volterra(p, 1.0, steps=500)
     fit = cb.fit_decay(sol, (0.2, 1.0))
     assert abs(fit.rate / cb.gamma_infinity(p) - 1.0) < 0.05
 
