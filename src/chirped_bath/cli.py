@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import classify, dimensionless_chi, fit_decay, mirror_chirp
-from .closedform import gamma_infinity
+from .closedform import gamma_infinity, markovian_ca
 from .dynamics import DEFAULT_SAMPLE_EVERY, evolve
 from .errors import SolverError, ValidationError
 from .model import DEFAULT_MODES_PER_GAMMA, ModelParams, build_grid, xi
@@ -38,6 +38,10 @@ EXIT_SOLVER = 3
 RELAXED_REL_TOL = 1e-7
 FIT_WINDOW = (0.1, 1.0)
 FIT_T_END = 1.5
+# A gamma-inf sweep point costs 6-12 us and holds about 0.55 KiB until the
+# table is written (2-CPU Xeon; 5e5 points took 5.9 s and 267 MiB), so a
+# sweep at this limit takes 6-12 s in about 0.5 GiB.
+MAX_SWEEP_POINTS = 1_000_000
 
 _OMEGA_D8 = float(np.sqrt(255.0))
 
@@ -165,7 +169,7 @@ def simulate_table(
         columns += [traj0.pa, traj0.norms]
     if with_markov:
         header.append("pa_markov")
-        columns.append(np.exp(-gamma_infinity(p) * traj.times))
+        columns.append(markovian_ca(traj.times, p) ** 2)
     return header, list(zip(*columns))
 
 
@@ -212,6 +216,9 @@ def gamma_inf_table(
         raise ValidationError("d_list must not be empty")
     if chi_points < 2 or not 0 < chi_min < chi_max < np.inf:
         raise ValidationError("need chi_points >= 2 and 0 < chi_min < chi_max < inf")
+    points = chi_points * len(d_list)
+    if points > MAX_SWEEP_POINTS:
+        raise ValidationError(f"the sweep has {points} points, above the limit {MAX_SWEEP_POINTS}")
     entries: dict[tuple[float, float], list] = {}
     for d in d_list:
         for chi in np.geomspace(chi_min, chi_max, chi_points):

@@ -14,34 +14,28 @@ from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
-from scipy.special import roots_legendre, sici
+from scipy.special import roots_laguerre, roots_legendre
 
 from .errors import GridCoverageError, ValidationError
 
 # Half-window of the detuning grid when there is no oscillatory structure to
 # resolve (weak coupling), in units of the envelope half-width.
 WEAK_HALF_WINDOW = 10.0
-# Pad beyond the Rabi half-splitting for strongly coupled grids.  The
-# truncated Lorentzian wings bias pa by ~(2/3pi) d^2/W^3; 40 keeps that bias
-# below the 1e-3 pointwise budget at d=8 with margin.
+# Pad beyond the Rabi half-splitting for strongly coupled grids.  Against
+# pseudomode_solve the truncated Lorentzian wings bias pa by 3.7e-4 at d = 8
+# (t_end 2 and 8), inside the 1e-3 pointwise budget; a pad of 20 gives 1.5e-3.
 STRONG_WINDOW_PAD = 40.0
 MODE_CAP = 2_000_000
 # Grid modes per unit of the envelope half-width; the inverse is the spacing.
 DEFAULT_MODES_PER_GAMMA = 10.0
 
-# Relative truncation budget for the analytic kernel tail (next omitted term).
-_KERNEL_TAIL_BUDGET = 5e-10
-# The tail switches from its Si closed form to its asymptotic series at
-# z = cut*tau = 100, where 20 terms leave a relative error below 1e-17.
-_TAIL_SERIES_FROM = 100.0
-_TAIL_SERIES_TERMS = 20
 _PANEL_GROWTH = 1.5
 # 2048 panels of 16 nodes: 256 KiB per float array of a block.
 _KERNEL_BLOCK_PANELS = 2048
-# A node costs 15-20 ns on a 2-CPU Xeon, so a lattice at this limit takes
-# 1-1.5 minutes.  Every |chi| <= 400, t_end <= 2 fits at every step count
-# (3.3e9 nodes at chi = 400, t_end = 2, 65536 steps, where the lattice took
-# 50-63 s).
+# A node costs about 20 ns on a 2-CPU Xeon (timed lattices at 65536 steps,
+# t_end = 2, d = 8: 1.1e8 nodes in 2.5 s at chi = 100, 3.2e8 nodes in 6.4 s
+# at chi = 400), so a lattice at this limit takes about 80 s.  Every
+# |chi| <= 400, t_end <= 2 fits at every step count with ten times room.
 MAX_KERNEL_NODES = 4e9
 
 
@@ -181,15 +175,17 @@ def xi(p: ModelParams) -> float:
 
 
 @cache
-def _panel_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nodes and weights of the 16-point Gauss-Legendre rule, and the cos and
-    sin of the node phases 2 xi_j about the centre of a capped panel.
+def _panel_rule():
+    """Nodes and weights of the 16-point Gauss-Legendre rule, the cos and sin
+    of the node phases 2 xi_j about the centre of a capped panel, and the
+    16-point Gauss-Laguerre rule (nodes, weights) of the kernel tail.
 
-    Built on first use: the eigensolver behind roots_legendre leaves about
+    Built on first use: the eigensolvers behind the two rules leave about
     0.75 MiB of workspace resident, which runs without chirp need not carry.
     """
     nodes, weights = roots_legendre(16)
-    return nodes, weights, np.stack([np.cos(2.0 * nodes), np.sin(2.0 * nodes)])
+    phases = np.stack([np.cos(2.0 * nodes), np.sin(2.0 * nodes)])
+    return nodes, weights, phases, roots_laguerre(16)
 
 
 def _panel_edge(k, geo, cap):
@@ -206,41 +202,11 @@ def _panels_to(length, geo, cap):
     return np.where(length <= span, inner, geo + np.ceil((length - span) / cap))
 
 
-def _kernel_tail(cut, tau, u):
-    """Integral of the envelope's tail 1/x^2 + (u^2-1)/x^4 against cos(tau*x)
-    over [cut, inf).
-
-    Small z = cut*tau: closed form through Si.  Large z: the same integrals as
-    int_z^inf e^{it} t^-n dt = i e^{iz} z^-n sum_k (n)_k (-i/z)^k, summed to
-    a fixed order; the closed form would subtract Si from pi/2 there and lose
-    every digit of the x^-4 term.
-    """
-    z = cut * tau
-    out = np.empty_like(z)
-    small = z < _TAIL_SERIES_FROM
-    c, t, w = cut[small], tau[small], z[small]
-    si, _ = sici(w)
-    i2 = np.cos(w) / c - t * (0.5 * np.pi - si)
-    i4 = np.cos(w) / (3.0 * c**3) - (t / 3.0) * (np.sin(w) / (2.0 * c * c) + 0.5 * t * i2)
-    out[small] = i2 + (u[small] ** 2 - 1.0) * i4
-    large = ~small
-    c, t, w = cut[large], tau[large], z[large]
-    step = -1j / w
-    s2 = np.ones_like(step)
-    s4 = np.ones_like(step)
-    for k in range(_TAIL_SERIES_TERMS, 0, -1):
-        s2 = 1.0 + (k + 1) * step * s2
-        s4 = 1.0 + (k + 3) * step * s4
-    series = s2 / (c * c) + (u[large] ** 2 - 1.0) * s4 / c**4
-    out[large] = (1j * np.exp(1j * w) * series).real / t
-    return out
-
-
 def _chirped_kernel(tau: np.ndarray, p: ModelParams) -> np.ndarray:
     """(2 d^2/pi) int_0^inf envelope(x) cos(tau x) dx at positive lags.
 
     [0, cut] is split into panels, each integrated by a 16-point
-    Gauss-Legendre rule; [cut, inf) is the analytic tail.  Panels start at
+    Gauss-Legendre rule; [cut, inf) is the rotated tail below.  Panels start at
     the envelope peak x = u, widen as 0.5 + 0.5|x - u| away from it and are
     capped at 4/tau, so each spans at most 4 radians of cos(tau x).  All
     lags' panels form one flat sequence, laid out in closed form and
@@ -248,14 +214,13 @@ def _chirped_kernel(tau: np.ndarray, p: ModelParams) -> np.ndarray:
     panel centre, so the capped panels, whose nodes all sit at the phases
     2 xi_j about it, cost no trigonometric call per node.
     """
-    nodes, weights, capped_phases = _panel_rule()
+    nodes, weights, capped_phases, (s_lag, w_lag) = _panel_rule()
     u = 0.5 * abs(p.chi) * tau
     cap = 4.0 / tau
     with np.errstate(over="ignore", invalid="ignore"):
-        # Truncate where the O(x^-6) remainder of the analytic tail is negligible.
-        c6 = 1.5 * (1.0 + u * u) ** 2
-        budget_cut = (c6 * (2.0 / np.pi) / _KERNEL_TAIL_BUDGET) ** 0.2
-        cut = np.maximum(np.maximum(60.0, 2.0 * u + 20.0), budget_cut)
+        # The tail's path keeps tau (cut - u) >= 50 from the branch points
+        # of the envelope at x = +-u +- i.
+        cut = np.maximum(np.maximum(60.0, 2.0 * u + 20.0), 100.0 / tau)
         # Panels 0.5 * 1.5**k wide (k < geo) stay within the cap.
         geo = np.maximum(np.floor(np.log(2.0 * cap) / np.log(_PANEL_GROWTH)) + 1.0, 0.0)
         left = _panels_to(u, geo, cap)
@@ -309,7 +274,17 @@ def _chirped_kernel(tau: np.ndarray, p: ModelParams) -> np.ndarray:
         centre = tau[lag] * (peak + offset)
         sums = half * (np.cos(centre) * cos_part - np.sin(centre) * sin_part)
         main[lag[0]:lag[-1] + 1] += np.bincount(lag - lag[0], weights=sums)
-    return (p.d * p.d / np.pi) * 2.0 * (main + _kernel_tail(cut, tau, u))
+    # On x = cut + i s/tau the factor e^{i tau x} is e^{i tau cut} e^{-s}, so
+    # the tail is Re[(i/tau) e^{i tau cut} sum_k w_k env(cut + i s_k/tau)].
+    # The envelope there is x^-2 (1 + 2(1-u^2) x^-2 + (1+u^2)^2 x^-4)^(-1/2):
+    # the factored form would cross the square root's branch cut.
+    a, b = 2.0 * (1.0 - u * u), (1.0 + u * u) ** 2
+    tail = np.zeros(tau.shape, dtype=complex)
+    for s, w in zip(s_lag, w_lag):
+        inv2 = (cut + 1j * s / tau) ** -2
+        tail += w * inv2 / np.sqrt(1.0 + a * inv2 + b * inv2 * inv2)
+    tail = (1j / tau * np.exp(1j * cut * tau) * tail).real
+    return (p.d * p.d / np.pi) * 2.0 * (main + tail)
 
 
 def memory_kernel(tau, p: ModelParams):

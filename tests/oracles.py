@@ -6,7 +6,9 @@ kernel oracle uses QUADPACK's semi-infinite Fourier integrator end to end
 Gauss-Legendre and attaches an analytic tail), the convolution oracle never
 touches the envelope at all, and the Hankel-magnitude oracle rewrites
 |K_0(i y)|^2 as a smooth [0, 1] integral plus a Fourier tail instead of
-going through Bessel functions.
+going through Bessel functions.  The march oracle steps the implicit
+trapezoid rule one time point at a time, where the library divides two
+power series.
 """
 
 import numpy as np
@@ -85,3 +87,22 @@ def k0i_abs2_oracle(y: float) -> float:
     im2, _ = quad(tail, 1.0, np.inf, weight="sin", wvar=a)
     re, im = re1 + re2, im1 - im2
     return 4.0 * (re * re + im * im)
+
+
+def march_oracle(kernel_values: np.ndarray, h: float, n: int) -> np.ndarray:
+    """Implicit-trapezoid product integration of dc/dt = -int_0^t K(t-s) c(s) ds
+    with c(0) = 1, one step at a time (O(n^2)); kernel_values[j] = K(j*h)."""
+    # rev[n - j] = K(j*h) as complex: each step's convolution sum is one dot.
+    rev = kernel_values[::-1].astype(complex)
+    c = np.empty(n + 1, dtype=complex)
+    c[0] = 1.0
+    k0 = kernel_values[0]
+    denom = 1.0 + 0.25 * h * h * k0
+    # q_here: trapezoid sum of K(t_m - s) c(s) over [0, t_m]; q_next: the
+    # same over [0, t_m+1] without its implicit end term 0.5 h K(0) c[m+1].
+    q_here = 0.0
+    for m in range(n):
+        q_next = h * (0.5 * kernel_values[m + 1] * c[0] + np.dot(rev[n - m:n], c[1:m + 1]))
+        c[m + 1] = (c[m] - 0.5 * h * (q_here + q_next)) / denom
+        q_here = q_next + 0.5 * h * k0 * c[m + 1]
+    return c

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from chirped_bath import _rk
+from chirped_bath import _rk, volterra
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -29,6 +29,9 @@ def test_traced_names_exist():
     ]
     assert missing == []
     assert {"rhs", "y0", "sample_times"} <= set(inspect.signature(_rk.integrate).parameters)
+    # The tracer wraps these two by name and passes their arguments through.
+    assert list(inspect.signature(volterra._march).parameters) == ["kernel_values", "h", "n"]
+    assert list(inspect.signature(volterra._lag_lattice).parameters) == ["p", "h", "n"]
 
 
 def test_integrate_calls_rhs_with_two_arguments_and_uses_its_result():

@@ -15,10 +15,13 @@ def _read_csv(path):
 def test_rerun_is_byte_identical(tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
-    args = ["simulate", "--d", "0.2", "--t-end", "0.5"]
-    assert cli.main(args + ["--out", str(a)]) == 0
-    assert cli.main(args + ["--out", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
+    for args in (
+        ["simulate", "--d", "0.2", "--t-end", "0.5"],
+        ["volterra", "--d", "4", "--chi", "30", "--t-end", "1", "--steps", "300"],
+    ):
+        assert cli.main(args + ["--out", str(a)]) == 0
+        assert cli.main(args + ["--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
 
 
 def test_config_file_and_flag_precedence(tmp_path):
@@ -243,12 +246,15 @@ def test_gamma_inf_sweep(tmp_path):
         (["volterra", "--d", "1", "--chi", "1e12", "--t-end", "1", "--steps", "16"],
          None, "a.csv"),
         (["simulate", "--d", "0.2", "--t-end", "0.01"], "with_static = maybe\n", "a.csv"),
+        (["gamma-inf", "--d-list", "1", "--chi-points", "1000000000"], None, "a.csv"),
+        (["gamma-inf", "--d-list", "1,2", "--chi-points", "600000"], None, "a.csv"),
     ],
     ids=[
         "config-text", "t-end-inf", "chi-inf", "chi-nan", "out-unwritable",
         "past-recurrence", "rel-tol-inf", "chi-max-inf", "mirror-nan", "mirror-negative",
         "mirror-gamma-underflow", "mirror-gamma-overflow", "mirror-chi-overflow",
-        "sample-every-tiny", "kernel-nodes", "bool-maybe",
+        "sample-every-tiny", "kernel-nodes", "bool-maybe", "sweep-chi-points",
+        "sweep-d-list",
     ],
 )
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, config, out):

@@ -177,6 +177,17 @@ def test_kernel_large_chirp_matches_convolution_form(tau, chi):
     assert abs(val - kernel_convolution_oracle(tau, d, chi)) < 1e-12 * d * d
 
 
+@pytest.mark.parametrize("chi", [2.6, 30.0, 71.0])
+@pytest.mark.parametrize("tau", [5e-4, 1e-3, 2e-3])
+def test_kernel_small_lag_matches_convolution_form(tau, chi):
+    """At lags of a few 1e-3 the cosine turns slowly, so the tail beyond the
+    cut is a sizeable part of the kernel: it must be integrated to rounding,
+    not cut off after the x^-4 term of its expansion."""
+    d = 2.0
+    val = memory_kernel(tau, ModelParams(d=d, chi=chi))
+    assert abs(val - kernel_convolution_oracle(tau, d, chi)) < 1e-13 * d * d
+
+
 def test_kernel_of_lag_array_matches_scalar_calls():
     """An array of lags gives each lag's scalar value, up to the order in
     which a lag's panel sums are added."""

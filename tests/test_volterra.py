@@ -7,15 +7,18 @@ import pytest
 
 import chirped_bath as cb
 from chirped_bath import volterra
+from oracles import march_oracle
 
 
 def test_config_validation():
+    """The step count is an integer in range: a fractional one is refused,
+    not truncated, and a numpy integer is accepted."""
     p = cb.ModelParams(d=1.0)
-    with pytest.raises(cb.ValidationError):
-        cb.solve_volterra(p, 0.1, steps=8)
-    with pytest.raises(cb.ValidationError):
-        cb.solve_volterra(p, 0.1, steps=10**20)
+    for steps in (8, 10**20, 100.7, 100.0, "100"):
+        with pytest.raises(cb.ValidationError):
+            cb.solve_volterra(p, 0.1, steps=steps)
     cb.solve_volterra(p, 0.1, steps=16)
+    assert cb.solve_volterra(p, 0.1, steps=np.int64(100)).times.size == 201
 
 
 def test_t_end_validation():
@@ -72,9 +75,22 @@ def test_fast_chirp_flat_rate():
     assert abs(fit.rate / cb.gamma_infinity(p) - 1.0) < 0.05
 
 
+@pytest.mark.parametrize("chi", [0.0, 20.0])
+@pytest.mark.parametrize("n", [16, 17, 500, 1024, 4097])
+def test_march_matches_stepwise_oracle(n, chi):
+    """The series-division march gives the step-by-step trapezoid amplitudes,
+    at power-of-two lengths and off them."""
+    p = cb.ModelParams(d=8.0, chi=chi)
+    h = 1.0 / n
+    kernel = volterra._lag_lattice(p, h, n)
+    c = volterra._march(kernel, h, n)
+    assert c.shape == (n + 1,)
+    assert np.max(np.abs(c - march_oracle(kernel, h, n))) < 1e-12
+
+
 def test_lag_lattice_memory_is_bounded():
     """The lattice is evaluated in blocks: 2049 lags at chi = 100 take about
-    1.7e7 quadrature nodes, 130 MiB as one float array, but peak far lower."""
+    1.8e6 quadrature nodes, 14 MiB as one float array, but peak far lower."""
     p = cb.ModelParams(d=4.0, chi=100.0)
     tracemalloc.start()
     try:
