@@ -38,9 +38,9 @@ EXIT_SOLVER = 3
 RELAXED_REL_TOL = 1e-7
 FIT_WINDOW = (0.1, 1.0)
 FIT_T_END = 1.5
-# A gamma-inf sweep point costs 6-12 us and holds about 0.55 KiB until the
-# table is written (2-CPU Xeon; 5e5 points took 5.9 s and 267 MiB), so a
-# sweep at this limit takes 6-12 s in about 0.5 GiB.
+# A gamma-inf sweep point costs 13-14 us and holds about 0.55 KiB until the
+# table is written (2-CPU Xeon; 5e5 points took 6.5-7.0 s and 321 MiB peak
+# RSS), so a sweep at this limit takes about 14 s in about 0.6 GiB.
 MAX_SWEEP_POINTS = 1_000_000
 
 _OMEGA_D8 = float(np.sqrt(255.0))

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import trapezoid
 
 from .errors import ValidationError
 from .model import BathGrid, ModelParams, rabi_frequency, structure_function
@@ -117,7 +116,7 @@ def longtime_spectrum(delta, p: ModelParams):
 def spectrum_closure(series: SpectrumSeries, pa: float) -> float:
     """Emitter population ``pa`` plus the trapezoidal integral of S; 1 up to
     grid truncation."""
-    return pa + float(trapezoid(series.values, series.detunings_now))
+    return pa + float(np.trapezoid(series.values, series.detunings_now))
 
 
 def detached_peak_area(series: SpectrumSeries, p: ModelParams) -> float:

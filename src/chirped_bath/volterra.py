@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
 
 from .dynamics import Trajectory, _check_population
 from .errors import ValidationError
@@ -24,8 +23,9 @@ DEFAULT_STEPS = 1024
 # The march grows as steps log(steps) and the lattice as the lag count times
 # the quadrature nodes per lag.  Solves at this limit at d = 8, t_end = 2
 # (perf_counter and process_time of one solve_volterra call, 2-CPU Xeon) took
-# 0.12 s wall and CPU without chirp, 2.4 s at chi = 100 and 6.1 s at
-# chi = 400, nearly all lattice; the Richardson estimate there is 4e-9.
+# 0.11-0.13 s wall and CPU without chirp, 2.4-2.5 s at chi = 100 and 5.5 s at
+# chi = 400, nearly all lattice (the fine march of 131072 steps alone took
+# 0.075-0.096 s); the Richardson estimate there is 3e-9 to 4e-9.
 MAX_STEPS = 65536
 
 
@@ -38,8 +38,11 @@ class VolterraSolution(Trajectory):
 
 def _product(x: np.ndarray, y: np.ndarray, length: int) -> np.ndarray:
     """First ``length`` coefficients of the power-series product x * y."""
-    size = next_fast_len(x.size + y.size - 1, real=True)
-    return irfft(rfft(x, size) * rfft(y, size), size)[:length]
+    need = x.size + y.size - 1
+    size = 1 << (need - 1).bit_length()
+    if 3 * size // 4 >= need:
+        size = 3 * size // 4  # 3 * 2^k pads less and transforms about as fast
+    return np.fft.irfft(np.fft.rfft(x, size) * np.fft.rfft(y, size), size)[:length]
 
 
 def _march(kernel_values: np.ndarray, h: float, n: int) -> np.ndarray:
@@ -66,7 +69,9 @@ def _march(kernel_values: np.ndarray, h: float, n: int) -> np.ndarray:
         length = min(2 * b.size, n + 1)
         residual = _product(a[:length], b, length)[b.size:]  # a b = 1 + z^size residual
         b = np.concatenate([b, -_product(b, residual, length - b.size)])
-    return _product(numer, b, n + 1)
+    c = _product(numer, b, n + 1)
+    c[0] = 1.0  # numer_0 / a_0 exactly; the FFT rounds it
+    return c
 
 
 def _lag_lattice(p: ModelParams, h: float, n: int) -> np.ndarray:

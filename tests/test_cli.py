@@ -1,6 +1,12 @@
 """Command-line surface: precedence rules, table formats, determinism, and
 exit codes."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -271,3 +277,35 @@ def test_preset_must_match_command():
     with pytest.raises(SystemExit) as exc:
         cli.main(["simulate", "--preset", "fig2"])
     assert exc.value.code == 2
+
+
+def test_commands_load_only_the_scipy_they_call(tmp_path):
+    """Importing the CLI loads no scipy module, and neither do spectrum,
+    simulate and chirped volterra runs; gamma-inf loads scipy.special for
+    its Bessel functions and nothing heavier."""
+    out = str(tmp_path / "a.csv")
+    steps = [
+        [],
+        ["spectrum", "--d", "2", "--times", "0.2", "--out", out],
+        ["simulate", "--d", "0.2", "--chi", "1", "--t-end", "0.1", "--out", out],
+        ["volterra", "--d", "2", "--chi", "30", "--t-end", "0.5", "--steps", "64", "--out", out],
+        ["gamma-inf", "--d-list", "0.2", "--chi-min", "1", "--chi-max", "10",
+         "--chi-points", "2", "--out", out],
+    ]
+    script = (
+        "import json, sys\n"
+        "from chirped_bath import cli\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert not argv or cli.main(argv) == 0, argv\n"
+        "    print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cb.__file__).parents[1])}
+    run = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(steps)],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    loaded = [json.loads(line) for line in run.stdout.splitlines()]
+    assert loaded[:4] == [[], [], [], []]
+    assert "scipy.special" in loaded[4]
+    for heavy in ("scipy.integrate", "scipy.linalg", "scipy.fft"):
+        assert not any(m.startswith(heavy) for m in loaded[4]), heavy

@@ -131,6 +131,15 @@ def test_norm_drift_checked_at_every_sample(monkeypatch):
         _run(cb.ModelParams(d=0.2), 0.5)
 
 
+@pytest.mark.parametrize("rel_tol", [1e-10, 1e-11])
+def test_tight_tolerance_tightens_the_norm(rel_tol):
+    """Below the default tolerance the norm drift falls with rel_tol, well
+    inside evolve's budget of 10 * rel_tol * t_end: a fixed absolute error
+    floor held it near 2.5e-9, which failed that budget at 1e-10."""
+    traj, _ = _run(cb.ModelParams(d=8.0), 2.0, rel_tol=rel_tol)
+    assert np.max(np.abs(traj.norms - 1.0)) <= rel_tol * 2.0
+
+
 def test_static_grid_rejects_chirped_params():
     static_grid = cb.build_grid(cb.ModelParams(d=2.0), 1.0)
     chirped = cb.ModelParams(d=2.0, chi=50.0)
