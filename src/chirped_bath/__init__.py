@@ -7,9 +7,9 @@ product-integration solver for the memory-kernel equation (`volterra`), and
 closed-form limits (`closedform`).  `spectra` and `analysis` extract
 observables; `cli` exposes everything as a command-line tool.
 
-Loading the package loads no scipy module: numpy's trapezoid, Gauss rules and
-FFT match scipy's and import in milliseconds, where `scipy.integrate` alone
-took about 0.45 s on a 2-CPU Xeon.
+Loading the package loads no scipy module: numpy's trapezoid and FFT match
+scipy's and import in milliseconds, where `scipy.integrate` alone took about
+0.45 s on a 2-CPU Xeon.
 """
 
 from .analysis import (

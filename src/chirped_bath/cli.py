@@ -219,11 +219,12 @@ def gamma_inf_table(
     points = chi_points * len(d_list)
     if points > MAX_SWEEP_POINTS:
         raise ValidationError(f"the sweep has {points} points, above the limit {MAX_SWEEP_POINTS}")
+    # (d, chi) -> [params, analytic rate, fitted rate or None]
     entries: dict[tuple[float, float], list] = {}
     for d in d_list:
         for chi in np.geomspace(chi_min, chi_max, chi_points):
-            key = (float(d), float(chi))
-            entries[key] = [gamma_infinity(ModelParams(d=key[0], chi=key[1])), None]
+            p = ModelParams(d=float(d), chi=float(chi))
+            entries[(p.d, p.chi)] = [p, gamma_infinity(p), None]
     if fit_chis and fit_d is None:
         raise ValidationError("fit_chis given without fit_d")
     for chi in fit_chis or ():
@@ -232,14 +233,14 @@ def gamma_inf_table(
         traj = evolve(grid, p, FIT_T_END, rel_tol=RELAXED_REL_TOL)
         key = (float(fit_d), float(chi))
         if key not in entries:
-            entries[key] = [gamma_infinity(p), None]
-        entries[key][1] = fit_decay(traj, FIT_WINDOW).rate
+            entries[key] = [p, gamma_infinity(p), None]
+        entries[key][2] = fit_decay(traj, FIT_WINDOW).rate
 
     rows = []
     for (d, chi) in sorted(entries):
-        analytic, fitted = entries[(d, chi)]
+        p, analytic, fitted = entries[(d, chi)]
         try:
-            xi_cell = xi(ModelParams(d=d, chi=chi))
+            xi_cell = xi(p)
         except ValidationError:
             xi_cell = ""
         rows.append((d, chi, analytic, "" if fitted is None else fitted, xi_cell))

@@ -11,11 +11,8 @@ SI values enter only through optional conversion at the CLI boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
-from numpy.polynomial.laguerre import laggauss
-from numpy.polynomial.legendre import leggauss
 
 from .errors import GridCoverageError, ValidationError
 
@@ -30,14 +27,9 @@ MODE_CAP = 2_000_000
 # Grid modes per unit of the envelope half-width; the inverse is the spacing.
 DEFAULT_MODES_PER_GAMMA = 10.0
 
-_PANEL_GROWTH = 1.5
-# 2048 panels of 16 nodes: 256 KiB per float array of a block.
-_KERNEL_BLOCK_PANELS = 2048
-# A node costs about 20 ns on a 2-CPU Xeon (timed lattices at 65536 steps,
-# t_end = 2, d = 8: 1.1e8 nodes in 2.5 s at chi = 100, 3.2e8 nodes in 6.4 s
-# at chi = 400), so a lattice at this limit takes about 80 s.  Every
-# |chi| <= 400, t_end <= 2 fits at every step count with ten times room.
-MAX_KERNEL_NODES = 4e9
+# First node and step, in v, of the trapezoid sum of the kernel's cut integral.
+_CUT_START = -3.5
+_CUT_STEP = 0.12
 
 
 @dataclass(frozen=True)
@@ -175,117 +167,47 @@ def xi(p: ModelParams) -> float:
     return 4.0 * np.pi * p.chi / (om * om)
 
 
-@cache
-def _panel_rule():
-    """Nodes and weights of the 16-point Gauss-Legendre rule, the cos and sin
-    of the node phases 2 xi_j about the centre of a capped panel, and the
-    16-point Gauss-Laguerre rule (nodes, weights) of the kernel tail.
+def _chirped_kernel(tau: np.ndarray, u: np.ndarray, p: ModelParams) -> np.ndarray:
+    """(2 d^2/pi) int_0^inf envelope(x) cos(tau x) dx at positive lags, with
+    u = |chi| tau / 2, from the envelope's two branch cuts.
 
-    Built on first use: the eigensolver behind the two rules leaves about
-    1.1 MiB resident, which runs without chirp need not carry.
+    The envelope is even, so the kernel is (d^2/pi) times its Fourier
+    transform over the real line.  Closed in the upper half-plane, that path
+    wraps the cuts from x = +-u + i upwards; on the cut above u + i put
+    x = u + i(1 + t^2).  The cut above -u + i gives the conjugate, so
+
+        K(tau) = (8 d^2/pi) e^-tau Im[e^(i u tau) J],
+        J = int_0^inf e^(-tau t^2) dt / sqrt((t^2 - 2iu)(t^2 + 2 - 2iu)(t^2 + 2)).
+
+    Every factor's argument lies in (-pi/2, 0], so one square root of the
+    product is the product of the three.  J is a trapezoid sum in v with
+    t = exp(y0 + v - e^-v): the substitution thins out doubly exponentially
+    below t = e^y0, which sits 3 below the log of the smallest scale of
+    the integrand (sqrt(2u), 1 and the Gaussian's sqrt(45/tau)).  The sum
+    stops where e^(-tau t^2) < 3e-20, or at t = e^20 max(sqrt(2u), 1) if
+    that comes first: the integrand is below t^-3, so the rest of J is below
+    2.2e-18 there.  All lags share the nodes in v, as many as the lag with
+    the widest span needs.  The two factors that grow with u are scaled by
+    1/(1 + 2u), which keeps the product finite.
     """
-    nodes, weights = leggauss(16)
-    phases = np.stack([np.cos(2.0 * nodes), np.sin(2.0 * nodes)])
-    return nodes, weights, phases, laggauss(16)
-
-
-def _panel_edge(k, geo, cap):
-    """Distance from the envelope peak of the k-th panel edge on one side:
-    geometric up to edge ``geo``, then uniform steps of ``cap``."""
-    span = _PANEL_GROWTH ** np.minimum(k, geo) - 1.0
-    return span + np.maximum(k - geo, 0.0) * cap
-
-
-def _panels_to(length, geo, cap):
-    """Number of panels from the envelope peak out to distance ``length``."""
-    span = _PANEL_GROWTH**geo - 1.0
-    inner = np.ceil(np.log1p(length) / np.log(_PANEL_GROWTH))
-    return np.where(length <= span, inner, geo + np.ceil((length - span) / cap))
-
-
-def _chirped_kernel(tau: np.ndarray, p: ModelParams) -> np.ndarray:
-    """(2 d^2/pi) int_0^inf envelope(x) cos(tau x) dx at positive lags.
-
-    [0, cut] is split into panels, each integrated by a 16-point
-    Gauss-Legendre rule; [cut, inf) is the rotated tail below.  Panels start at
-    the envelope peak x = u, widen as 0.5 + 0.5|x - u| away from it and are
-    capped at 4/tau, so each spans at most 4 radians of cos(tau x).  All
-    lags' panels form one flat sequence, laid out in closed form and
-    evaluated in blocks of _KERNEL_BLOCK_PANELS.  cos(tau x) is split at the
-    panel centre, so the capped panels, whose nodes all sit at the phases
-    2 xi_j about it, cost no trigonometric call per node.
-    """
-    nodes, weights, capped_phases, (s_lag, w_lag) = _panel_rule()
-    u = 0.5 * abs(p.chi) * tau
-    cap = 4.0 / tau
-    with np.errstate(over="ignore", invalid="ignore"):
-        # The tail's path keeps tau (cut - u) >= 50 from the branch points
-        # of the envelope at x = +-u +- i.
-        cut = np.maximum(np.maximum(60.0, 2.0 * u + 20.0), 100.0 / tau)
-        # Panels 0.5 * 1.5**k wide (k < geo) stay within the cap.
-        geo = np.maximum(np.floor(np.log(2.0 * cap) / np.log(_PANEL_GROWTH)) + 1.0, 0.0)
-        left = _panels_to(u, geo, cap)
-        counts = left + _panels_to(cut - u, geo, cap)
-        total_nodes = nodes.size * float(np.sum(counts))
-    if not total_nodes <= MAX_KERNEL_NODES:
-        raise ValidationError(
-            f"the memory-kernel lattice needs {total_nodes:.3g} quadrature nodes, above the limit "
-            f"{MAX_KERNEL_NODES:.3g}; lower --chi or --t-end"
-        )
-    ends = np.cumsum(counts.astype(np.int64))
-    starts = ends - counts
-    total = int(ends[-1])
-    main = np.zeros_like(tau)
-    buf_minus = np.empty((nodes.size, _KERNEL_BLOCK_PANELS))
-    buf_plus = np.empty_like(buf_minus)
-    for first in range(0, total, _KERNEL_BLOCK_PANELS):
-        panel = np.arange(first, min(first + _KERNEL_BLOCK_PANELS, total))
-        lag = np.searchsorted(ends, panel, side="right")
-        k = panel - starts[lag]
-        on_left = k < left[lag]
-        k = np.where(on_left, k, k - left[lag])
-        g, width, peak = geo[lag], cap[lag], u[lag]
-        # Each panel covers distances [near, far] from the peak on its side,
-        # clipped to x >= 0 on the left and x <= cut on the right.
-        reach = np.where(on_left, peak, cut[lag] - peak)
-        far = _panel_edge(k + 1.0, g, width)
-        capped = (k >= g) & (far <= reach)
-        near = np.minimum(_panel_edge(k, g, width), reach)
-        far = np.minimum(far, reach)
-        half = np.where(capped, 0.5 * width, 0.5 * (far - near))
-        offset = np.where(on_left, -0.5, 0.5) * (far + near)  # centre minus peak
-        # x - u and x + u at the nodes (one row per node), then the envelope
-        x_minus = np.multiply(nodes[:, None], half, out=buf_minus[:, :panel.size])
-        x_plus = np.add(x_minus, 2.0 * peak + offset, out=buf_plus[:, :panel.size])
-        x_minus += offset
-        x_minus *= x_minus
-        x_minus += 1.0
-        x_plus *= x_plus
-        x_plus += 1.0
-        x_minus *= x_plus
-        env = np.sqrt(x_minus, out=x_minus)
-        np.divide(weights[:, None], env, out=env)
-        # sum_j w_j env_j (cos, sin)(tau half xi_j) per panel
-        cos_part, sin_part = np.einsum("kj,jp->kp", capped_phases, env)
-        loose = np.flatnonzero(~capped)
-        env_loose = env[:, loose]
-        phase = nodes[:, None] * (tau[lag[loose]] * half[loose])
-        cos_part[loose] = np.einsum("ij,ij->j", env_loose, np.cos(phase))
-        sin_part[loose] = np.einsum("ij,ij->j", env_loose, np.sin(phase, out=phase))
-        centre = tau[lag] * (peak + offset)
-        sums = half * (np.cos(centre) * cos_part - np.sin(centre) * sin_part)
-        main[lag[0]:lag[-1] + 1] += np.bincount(lag - lag[0], weights=sums)
-    # On x = cut + i s/tau the factor e^{i tau x} is e^{i tau cut} e^{-s}, so
-    # the tail is Re[(i/tau) e^{i tau cut} sum_k w_k env(cut + i s_k/tau)].
-    # The envelope there is x^-2 (1 + 2(1-u^2) x^-2 + (1+u^2)^2 x^-4)^(-1/2):
-    # the factored form would cross the square root's branch cut.
-    a, b = 2.0 * (1.0 - u * u), (1.0 + u * u) ** 2
-    tail = np.zeros(tau.shape, dtype=complex)
-    for s, w in zip(s_lag, w_lag):
-        inv2 = (cut + 1j * s / tau) ** -2
-        tail += w * inv2 / np.sqrt(1.0 + a * inv2 + b * inv2 * inv2)
-    tail = (1j / tau * np.exp(1j * cut * tau) * tail).real
-    return (p.d * p.d / np.pi) * 2.0 * (main + tail)
+    scale = 1.0 / (1.0 + 2.0 * u)
+    log_turn = 0.5 * np.log(2.0 * u)
+    reach = np.minimum(0.5 * np.log(45.0 / tau), np.maximum(log_turn, 0.0) + 20.0)
+    y0 = np.minimum(np.minimum(log_turn, 0.0), reach) - 3.0
+    # reach - y0 >= 3, so the last node's e^-v is below 0.05.
+    count = int(np.ceil((np.max(reach - y0) + 0.05 - _CUT_START) / _CUT_STEP)) + 1
+    low = -2j * u * scale
+    high = (2.0 - 2j * u) * scale
+    total = np.zeros(tau.shape, dtype=complex)
+    for v in _CUT_START + _CUT_STEP * np.arange(count):
+        shrink = np.exp(-v)
+        t = np.exp(y0 + (v - shrink))
+        t2 = t * t
+        t2s = t2 * scale
+        weight = (1.0 + shrink) * t * np.exp(-tau * t2)
+        total += weight / np.sqrt((t2s + low) * (t2s + high) * (t2 + 2.0))
+    j = _CUT_STEP * scale * total
+    return (8.0 * p.d * p.d / np.pi) * np.exp(-tau) * (np.exp(1j * u * tau) * j).imag
 
 
 def memory_kernel(tau, p: ModelParams):
@@ -300,11 +222,15 @@ def memory_kernel(tau, p: ModelParams):
     lags = np.abs(np.asarray(tau, dtype=float))
     if not np.all(np.isfinite(lags)):
         raise ValidationError(f"kernel lag must be finite, got {tau}")
-    if p.chi == 0.0:
-        out = p.d * p.d * np.exp(-lags)
-    else:
-        out = np.full(lags.shape, p.d * p.d, dtype=float)
-        moving = lags >= 1e-12
-        if np.any(moving):
-            out[moving] = _chirped_kernel(lags[moving], p)
+    with np.errstate(all="ignore"):
+        u = 0.5 * abs(p.chi) * lags
+        out = np.asarray(p.d * p.d * np.exp(-lags))
+        # Below u = 1e-8 the chirp moves the kernel by less than 0.3 u^2 d^2.
+        chirped = u >= 1e-8
+        if np.any(chirped):
+            out[chirped] = _chirped_kernel(lags[chirped], u[chirped], p)
+    if not np.all(np.isfinite(out)):
+        raise ValidationError(
+            f"the memory kernel overflows at chi = {p.chi:g}; lower --chi or --t-end"
+        )
     return out if out.ndim else float(out)

@@ -21,10 +21,11 @@ from .model import ModelParams, memory_kernel
 
 DEFAULT_STEPS = 1024
 # The march grows as steps log(steps) and the lattice as the lag count times
-# the quadrature nodes per lag.  Solves at this limit at d = 8, t_end = 2
+# the nodes of the kernel's cut sum, which all lags share (145 at this limit
+# at chi = 100, 139 at chi = 400).  Solves at this limit at d = 8, t_end = 2
 # (perf_counter and process_time of one solve_volterra call, 2-CPU Xeon) took
-# 0.11-0.13 s wall and CPU without chirp, 2.4-2.5 s at chi = 100 and 5.5 s at
-# chi = 400, nearly all lattice (the fine march of 131072 steps alone took
+# 0.10-0.15 s wall and CPU without chirp and 1.1-1.8 s at chi = 100 and 400,
+# nearly all lattice (the fine march of 131072 steps alone took
 # 0.075-0.096 s); the Richardson estimate there is 3e-9 to 4e-9.
 MAX_STEPS = 65536
 

@@ -1,9 +1,9 @@
 """Independent numerical oracles used to pin library results.
 
 The helpers deliberately avoid the code paths they are meant to check: the
-kernel oracle uses QUADPACK's semi-infinite Fourier integrator end to end
-(the library splits at a finite breakpoint, integrates panels by
-Gauss-Legendre and attaches an analytic tail), the convolution oracle never
+kernel oracle uses QUADPACK's semi-infinite Fourier integrator on the real
+axis end to end (the library integrates along the envelope's branch cuts in
+the upper half-plane, where nothing oscillates), the convolution oracle never
 touches the envelope at all, and the Hankel-magnitude oracle rewrites
 |K_0(i y)|^2 as a smooth [0, 1] integral plus a Fourier tail instead of
 going through Bessel functions.  The march oracle steps the implicit
@@ -50,6 +50,9 @@ def kernel_convolution_oracle(tau: float, d: float, chi: float) -> float:
     QAWO's Clenshaw-Curtis rule samples the singular endpoint, so the
     integrand is set to 0 at that single point; bisection then closes in on
     it with Gauss-Kronrod nodes, which never touch an endpoint.
+
+    It holds to u = |chi| tau / 2 of 5e7 at least; at chi = 1e10, tau = 1 it
+    reads -1.3e-12 d^2 where the kernel is -5.2e-11 d^2.
     """
     omega = abs(chi) * tau
     h = 0.5 * tau

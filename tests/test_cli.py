@@ -249,7 +249,7 @@ def test_gamma_inf_sweep(tmp_path):
         (["mirror", "--omega0-si", "1e300", "--length-si", "1e-10", "--length-rate-si", "1e10"],
          None, "a.csv"),
         (["simulate", "--d", "1", "--t-end", "1", "--sample-every", "1e-300"], None, "a.csv"),
-        (["volterra", "--d", "1", "--chi", "1e12", "--t-end", "1", "--steps", "16"],
+        (["volterra", "--d", "1", "--chi", "1.7e308", "--t-end", "2", "--steps", "16"],
          None, "a.csv"),
         (["simulate", "--d", "0.2", "--t-end", "0.01"], "with_static = maybe\n", "a.csv"),
         (["gamma-inf", "--d-list", "1", "--chi-points", "1000000000"], None, "a.csv"),
@@ -259,7 +259,7 @@ def test_gamma_inf_sweep(tmp_path):
         "config-text", "t-end-inf", "chi-inf", "chi-nan", "out-unwritable",
         "past-recurrence", "rel-tol-inf", "chi-max-inf", "mirror-nan", "mirror-negative",
         "mirror-gamma-underflow", "mirror-gamma-overflow", "mirror-chi-overflow",
-        "sample-every-tiny", "kernel-nodes", "bool-maybe", "sweep-chi-points",
+        "sample-every-tiny", "kernel-phase-overflow", "bool-maybe", "sweep-chi-points",
         "sweep-d-list",
     ],
 )
@@ -271,6 +271,22 @@ def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, config, out):
     assert cli.main(argv + ["--out", str(tmp_path / out)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "chi, t_end, steps",
+    [("1e12", "1", "16"), ("1e300", "1", "1024"), ("1e300", "1e-290", "1024"),
+     ("1.7e308", "1", "1024"), ("1.7e308", "1e-290", "1024")],
+)
+def test_volterra_at_extreme_chirp(tmp_path, capsys, chi, t_end, steps):
+    """The memory kernel stays finite while its phase |chi| t_end^2 / 2 is
+    below 1.8e308: a chirp this far beyond the paper's range runs and gives
+    a finite pa (the refusal past it is the kernel-phase-overflow case)."""
+    out = tmp_path / "a.csv"
+    argv = ["volterra", "--d", "1", "--chi", chi, "--t-end", t_end, "--steps", steps]
+    assert cli.main(argv + ["--out", str(out)]) == 0, capsys.readouterr().err
+    pa = _read_csv(out)["pa"]
+    assert pa.size == 2 * int(steps) + 1 and np.all(np.isfinite(pa))
 
 
 def test_preset_must_match_command():

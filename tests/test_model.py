@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import k0
 
 from chirped_bath import (
     BathGrid,
@@ -167,14 +168,33 @@ def test_kernel_matches_fourier_quadrature(tau, d, chi):
     assert abs(val - kernel_oracle(tau, d, chi)) < 1e-7
 
 
-@pytest.mark.parametrize("chi", [1e4, 1e5])
-@pytest.mark.parametrize("tau", [0.5, 1.0])
+@pytest.mark.parametrize(
+    "tau,chi",
+    [
+        (0.5, 1e4), (0.5, 1e5), (1.0, 1e4), (1.0, 1e5),
+        (5e-13, 1e18), (5e-13, 1e20), (1e-3, 1e8), (1.0, 1e8),
+    ],
+)
 def test_kernel_large_chirp_matches_convolution_form(tau, chi):
-    """At chi tau^2 >= 1e4 the analytic tail must not cancel away its x^-4
-    term; the convolution form shares no step with the library's kernel."""
+    """Large chirps, u = |chi| tau / 2 from 2.5e3 to 5e7.  The kernel is then
+    a small remainder of d^2 (4.7e-7 d^2 at tau = 5e-13, chi = 1e20), so a
+    lag near zero must not be taken for zero lag.  The convolution form
+    shares no step with the library's kernel."""
     d = 2.0
     val = memory_kernel(tau, ModelParams(d=d, chi=chi))
     assert abs(val - kernel_convolution_oracle(tau, d, chi)) < 1e-12 * d * d
+
+
+@pytest.mark.parametrize("tau,chi", [(1.0, 1e10), (0.3, 1e11), (1.0, 1e12)])
+def test_kernel_huge_chirp_matches_asymptotic_form(tau, chi):
+    """For u = |chi| tau / 2 >> 1 the kernel tends to
+    (2 d^2 / (pi u)) K_0(tau) cos(u tau), with a relative correction of
+    order 1/u.  QUADPACK's oracles lose these 1e-11 d^2 kernels (the
+    convolution form reads -1.3e-12 d^2 for -5.2e-11 d^2 at chi = 1e10)."""
+    d = 2.0
+    u = 0.5 * chi * tau
+    val = memory_kernel(tau, ModelParams(d=d, chi=chi))
+    assert abs(val - 2.0 * d * d / (np.pi * u) * k0(tau) * np.cos(u * tau)) < 1e-19 * d * d
 
 
 @pytest.mark.parametrize("chi", [2.6, 30.0, 71.0])
@@ -189,8 +209,8 @@ def test_kernel_small_lag_matches_convolution_form(tau, chi):
 
 
 def test_kernel_of_lag_array_matches_scalar_calls():
-    """An array of lags gives each lag's scalar value, up to the order in
-    which a lag's panel sums are added."""
+    """An array of lags gives each lag's scalar value, although the array
+    sums every lag over as many cut nodes as its widest lag needs."""
     p = ModelParams(d=3.0, chi=60.0)
     lags = np.concatenate([[-0.2, 0.0], np.linspace(1e-3, 2.0, 400)])
     values = memory_kernel(lags, p)

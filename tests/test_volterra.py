@@ -89,8 +89,9 @@ def test_march_matches_stepwise_oracle(n, chi):
 
 
 def test_lag_lattice_memory_is_bounded():
-    """The lattice is evaluated in blocks: 2049 lags at chi = 100 take about
-    1.8e6 quadrature nodes, 14 MiB as one float array, but peak far lower."""
+    """The lattice loops over its cut nodes, with a few arrays of one value
+    per lag alive at a time: 2049 lags at chi = 100 share about 110 nodes,
+    3.5 MiB as one complex lags x nodes array, and peak far lower."""
     p = cb.ModelParams(d=4.0, chi=100.0)
     tracemalloc.start()
     try:
