@@ -11,9 +11,13 @@ deterministic for a fixed configuration.
 
 The state and the seven stages are the rows of one (8, N) complex array.
 Every stage input, the error estimate and the dense output is a weighted
-sum of its rows with real weights, taken by a single ``np.einsum`` over the
-float view.  ``@`` or ``np.dot`` would call OpenBLAS, whose threads raise
-CPU time above wall time at these sizes.
+sum of its rows with real weights, taken by one ``np.dot`` over the float
+view: a BLAS gemv, or a gemm for the dense output.  On OpenBLAS 0.3.31
+(2-CPU Xeon) gemv runs on one thread up to at least 3e4 modes and, up to
+2e4, takes 0.45-0.65 of the time of the same sum by ``np.einsum``; from
+about 5e4 modes it takes two threads, at half einsum's wall time and about
+its CPU time.  gemm takes a second thread from about 1e6 multiply-adds,
+which ``_BLOCK_BYTES`` keeps the dense output below.
 """
 
 from __future__ import annotations
@@ -58,7 +62,9 @@ _MAX_FACTOR = 5.0
 # (about 2.5e-9 at d = 8 for every rel_tol).
 _ABS_TOL = 1e-10
 # Interpolated states are handed to ``keep`` in blocks of at most this size.
-_BLOCK_BYTES = 2**20
+# A block of r states of N amplitudes takes 16 r N bytes and its gemm 16 r N
+# multiply-adds, so this keeps the gemm on one thread with a 2x margin.
+_BLOCK_BYTES = 2**19
 
 # Weights over the rows (y, k_0, ..., k_6) of the stack, before the factor
 # h: row i of _STAGE_W gives the input of stage i, y + h sum_j a_ij k_j (row
@@ -71,11 +77,11 @@ _POWERS = np.arange(1, 5)
 
 def _dense(stack, theta, h):
     """States at t + theta*h for each theta of an accepted step: row t is
-    y + h sum_j b_j(theta_t) k_j, one einsum over the stack's float view."""
+    y + h sum_j b_j(theta_t) k_j, one gemm over the stack's float view."""
     w = np.ones((theta.size, 8))
     np.einsum("tm,jm->tj", h * theta[:, None] ** _POWERS, _P, out=w[:, 1:])
     block = np.empty((theta.size, stack.shape[1]), dtype=complex)
-    np.einsum("tj,jn->tn", w, stack.view(float), out=block.view(float))
+    np.dot(w, stack.view(float), out=block.view(float))
     return block
 
 
@@ -121,11 +127,12 @@ def integrate(rhs, t0, y0, sample_times, rel_tol=1e-8, *, keep):
         w = h_use * _STAGE_W
         w[:, 0] = 1.0  # y takes no factor h
         for i in range(1, 7):
-            np.einsum("j,jn->n", w[i, :i + 1], flat[:i + 1], out=y_new.view(float))
+            np.dot(w[i, :i + 1], flat[:i + 1], out=y_new.view(float))
             k[i] = rhs(t + _C[i] * h_use, y_new)
-        np.einsum("j,jn->n", h_use * _ERR_W, flat[1:], out=err_vec.view(float))
+        np.dot(h_use * _ERR_W, flat[1:], out=err_vec.view(float))
         scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))
         ratio = np.abs(err_vec) / scale
+        # einsum, not np.dot: OpenBLAS's ddot takes a second thread from 1e4 modes
         err = np.sqrt(np.einsum("i,i->", ratio, ratio) / y.size)
         if err <= 1.0:
             t_next = t_last if last else t + h_use

@@ -127,14 +127,14 @@ def _write(out: str | None, result) -> None:
         text = result + "\n"
     else:
         header, rows = result
-        # One %-format per row: a number goes to %.16e as it is, and a column
-        # holding text has every cell formatted on its own first.
-        text_cols = {i for row in rows for i, cell in enumerate(row) if isinstance(cell, str)}
-        if text_cols:
-            rows = [tuple(_fmt(c) if i in text_cols else c for i, c in enumerate(row))
-                    for row in rows]
-        template = ",".join("%s" if i in text_cols else "%.16e" for i in range(len(header)))
-        text = "\n".join([",".join(header), *(template % tuple(row) for row in rows)]) + "\n"
+        # One %-format per row; a table holding text raises TypeError there
+        # and has every cell formatted on its own, to the same digits.
+        template = ",".join(["%.16e"] * len(header))
+        try:
+            lines = [template % tuple(row) for row in rows]
+        except TypeError:
+            lines = [",".join(map(_fmt, row)) for row in rows]
+        text = "\n".join([",".join(header), *lines]) + "\n"
     if out is None:
         sys.stdout.write(text)
     else:

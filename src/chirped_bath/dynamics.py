@@ -68,8 +68,10 @@ def _make_rhs(grid: BathGrid, p: ModelParams):
     Mode j sits at det_0 + j*s, so its phase det_j t + chi t^2 / 2 splits
     into one scalar, det_0 t + chi t^2 / 2, and j s t.  With j = 64 a + b,
     e^{i j s t} is the outer product of two short tables, e^{i 64 a s t} and
-    e^{i b s t}, so no per-mode exponential is taken.  Each call returns the
-    same buffer, overwritten by the next call.
+    e^{i b s t}, so no per-mode exponential is taken.  The phased couplings
+    are rebuilt only when t differs from the last call's (the last two DP5
+    stages share their time).  Each call returns the same buffer,
+    overwritten by the next call.
     """
     n, s, chi = grid.size, grid.spacing, p.chi
     det0 = float(grid.detunings[0])
@@ -79,14 +81,18 @@ def _make_rhs(grid: BathGrid, p: ModelParams):
     w = table.reshape(-1)[:n]
     static_g = coupling(grid.detunings, s, p) if chi == 0 else None
     dy = np.empty(n + 1, dtype=complex)
+    t_built, z = None, 0j
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        e = np.exp((1j * s * t) * offsets)
-        np.multiply(e[:rows, None], e[rows:], out=table)
-        g = static_g if chi == 0 else coupling(grid.detunings + chi * t, s, p)
-        # w_j = g_j e^{i j s t}: mode j's coupling with its phase is conj(z w_j)
-        np.multiply(w, g, out=w)
-        z = cmath.exp(1j * (det0 * t + 0.5 * chi * t * t))
+        nonlocal t_built, z
+        if t != t_built:
+            e = np.exp((1j * s * t) * offsets)
+            np.multiply(e[:rows, None], e[rows:], out=table)
+            g = static_g if chi == 0 else coupling(grid.detunings + chi * t, s, p)
+            # w_j = g_j e^{i j s t}: mode j's coupling with its phase is conj(z w_j)
+            np.multiply(w, g, out=w)
+            z = cmath.exp(1j * (det0 * t + 0.5 * chi * t * t))
+            t_built = t
         dy[0] = -1j * z.conjugate() * np.vdot(w, y[1:])
         np.multiply(w, -1j * y[0] * z, out=dy[1:])
         return dy

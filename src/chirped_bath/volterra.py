@@ -82,8 +82,11 @@ def _lag_lattice(p: ModelParams, h: float, n: int) -> np.ndarray:
 def solve_volterra(p: ModelParams, t_end: float, steps: int = DEFAULT_STEPS) -> VolterraSolution:
     """Solve the memory-kernel equation on [0, t_end] with c_a(0) = 1.
 
-    Returns the half-step (finer) solution; ``richardson_error`` bounds its
-    pa error as max|pa_h - pa_h/2| / 3 over the coarse time points.
+    Returns the half-step (finer) solution; ``richardson_error`` estimates
+    its pa error as max|pa_h - pa_h/2| / 3 over the coarse time points.
+    The estimate assumes a second-order march.  It is no bound: once the
+    chirped kernel collapses within one step it reads about 3x low (1.6e-4
+    against 4.4e-4 at d = 1, chi = 1e6, t_end = 1, 1024 steps).
     """
     if not isinstance(steps, (int, np.integer)) or not 16 <= steps <= MAX_STEPS:
         raise ValidationError(f"steps must be an integer in [16, {MAX_STEPS}], got {steps!r}")

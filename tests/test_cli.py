@@ -30,6 +30,22 @@ def test_rerun_is_byte_identical(tmp_path):
         assert a.read_bytes() == b.read_bytes()
 
 
+def test_write_formats_numeric_and_text_tables(tmp_path):
+    """Numbers print as %.16e; a column with text in a later row only (the
+    gamma-inf table's shape) prints its text as is and its numbers as the
+    all-numeric table does."""
+    out = tmp_path / "a.csv"
+    cli._write(str(out), (["a", "b"], [(1, np.float64(0.1)), (-2.5, float("nan"))]))
+    assert out.read_text() == (
+        "a,b\n1.0000000000000000e+00,1.0000000000000001e-01\n"
+        "-2.5000000000000000e+00,nan\n"
+    )
+    cli._write(str(out), (["a", "b"], [(1, np.float64(0.1)), (-2.5, "")]))
+    assert out.read_text() == (
+        "a,b\n1.0000000000000000e+00,1.0000000000000001e-01\n-2.5000000000000000e+00,\n"
+    )
+
+
 def test_config_file_and_flag_precedence(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("d = 0.2\nt_end = 0.4   # horizon\nchi = 0\n")

@@ -1,6 +1,7 @@
 """Direct integration of the coupled amplitude equations: accuracy,
 unitarity bookkeeping, sampling controls, and coverage guards."""
 
+import time
 import tracemalloc
 
 import numpy as np
@@ -215,3 +216,39 @@ def test_tabulated_rhs_matches_direct_formula(chi, hand_built):
     for t in np.append(np.linspace(0.0, horizon, 5), 0.7317):
         want = _direct_rhs(grid, p, t, y)
         assert np.max(np.abs(rhs(t, y) - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("chi", [0.0, 400.0])
+def test_rhs_rebuilds_couplings_whenever_time_changes(chi):
+    """The RHS keeps its phased couplings from one call to the next at the
+    same time; any other time, even 1 ulp away, gets fresh ones."""
+    p = cb.ModelParams(d=2.0, chi=chi)
+    grid = cb.build_grid(p, 3.0, modes_per_gamma=10.0 if chi == 0 else 1.0)
+    rng = np.random.default_rng(5)
+    rhs = dynamics._make_rhs(grid, p)
+    t1, t2 = 0.7317, 1.9
+    t1_next = float(np.nextafter(t1, np.inf))
+    for t in (t1, t2, t2, t1, t1_next):
+        y = rng.normal(size=grid.size + 1) + 1j * rng.normal(size=grid.size + 1)
+        want = _direct_rhs(grid, p, t, y)
+        got = rhs(t, y).copy()
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    # The ulp step is below the tolerance above, so compare it bit for bit
+    # with a fresh RHS, whose values at t1 and 1 ulp later do differ.
+    fresh = dynamics._make_rhs(grid, p)
+    assert not np.array_equal(fresh(t1, y).copy(), fresh(t1_next, y))
+    assert np.array_equal(got, fresh(t1_next, y))
+
+
+def test_solve_stays_on_one_thread():
+    """The DP5 sums are BLAS calls; at the benchmark's grid sizes none may
+    start a second thread, which would raise CPU time above wall time.
+    Sampling every 1e-4 fills the dense-output blocks to their size limit."""
+    p = cb.ModelParams(d=8.0)
+    grid = cb.build_grid(p, 1.0, modes_per_gamma=52.5)
+    assert grid.size >= 4000
+    time.sleep(0.2)  # lets threads of earlier BLAS calls stop spinning
+    wall, cpu = time.perf_counter(), time.process_time()
+    cb.evolve(grid, p, 1.0, sample_every=1e-4)
+    wall, cpu = time.perf_counter() - wall, time.process_time() - cpu
+    assert cpu <= 1.25 * wall + 0.05

@@ -51,6 +51,17 @@ def test_richardson_estimate_bounds_step_halving():
     assert actual < 4.0 * sol.richardson_error
 
 
+def test_richardson_estimate_matches_error_when_smooth():
+    """Without chirp the kernel is smooth on the step and the march is
+    second order, so the estimate reads the error of the returned series
+    against a much finer run to within a factor 2 (it reads 0.999 of it)."""
+    p = cb.ModelParams(d=2.0)
+    sol = cb.solve_volterra(p, 1.0, steps=128)
+    ref = cb.solve_volterra(p, 1.0, steps=4096)
+    actual = np.max(np.abs(sol.pa - ref.pa[::32]))
+    assert 0.5 * actual <= sol.richardson_error <= 2.0 * actual
+
+
 def test_vanishing_coupling_keeps_population():
     sol = cb.solve_volterra(cb.ModelParams(d=1e-4), 1.0, steps=64)
     assert np.max(np.abs(sol.pa - 1.0)) < 1e-6
