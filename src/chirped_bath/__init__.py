@@ -25,13 +25,10 @@ from .analysis import (
 from .closedform import (
     bessel_k0i_abs2,
     gamma_infinity,
-    gamma_infinity_asymptotic,
     markovian_ca,
     perturbed_rabi,
     pseudomode_solve,
     static_exact_ca,
-    weak_gamma_t,
-    weak_lowchirp_gamma,
 )
 from .dynamics import Trajectory, evolve
 from .errors import (
@@ -47,17 +44,13 @@ from .model import (
     coupling,
     memory_kernel,
     rabi_frequency,
-    structure_function,
     xi,
 )
 from .spectra import (
     SpectrumSeries,
-    analytic_static_spectrum,
     detached_peak_area,
-    longtime_spectrum,
     numeric_spectrum,
     spectrum_closure,
-    static_ck,
 )
 from .volterra import VolterraSolution, solve_volterra
 
@@ -76,7 +69,6 @@ __all__ = [
     "Trajectory",
     "ValidationError",
     "VolterraSolution",
-    "analytic_static_spectrum",
     "bessel_k0i_abs2",
     "build_grid",
     "classify",
@@ -87,8 +79,6 @@ __all__ = [
     "extract_rabi",
     "fit_decay",
     "gamma_infinity",
-    "gamma_infinity_asymptotic",
-    "longtime_spectrum",
     "markovian_ca",
     "memory_kernel",
     "mirror_chirp",
@@ -98,10 +88,6 @@ __all__ = [
     "rabi_frequency",
     "solve_volterra",
     "spectrum_closure",
-    "static_ck",
     "static_exact_ca",
-    "structure_function",
-    "weak_gamma_t",
-    "weak_lowchirp_gamma",
     "xi",
 ]

@@ -1,8 +1,7 @@
 """Closed-form solutions and limits: the exact static strong-coupling
 amplitude, the damped pseudomode pair (propagated exactly by a matrix
-exponential), weak-coupling rates, the high-chirp Markovian rate built on
-|K_0(i y)|^2, its large-chirp asymptote, and the low-chirp perturbed Rabi
-frequency.
+exponential), the high-chirp Markovian rate built on |K_0(i y)|^2 with its
+decaying amplitude, and the low-chirp perturbed Rabi frequency.
 
 The Bessel pair J_0/Y_0 comes from ``scipy.special``; the acceptance suite
 checks |K_0(i y)|^2 built from it against direct quadrature.  It and
@@ -20,7 +19,6 @@ from .model import ModelParams, rabi_frequency, xi
 
 PERTURBED_RABI_MIN_D = 4.0
 PERTURBED_RABI_MAX_XI = 0.2
-ASYMPTOTIC_MIN_CHI = 10.0
 
 
 def static_exact_ca(t, p: ModelParams):
@@ -65,13 +63,6 @@ def pseudomode_solve(p: ModelParams, t_end: float) -> Trajectory:
     return Trajectory(times=times, pa=np.abs(samples[:, 0]) ** 2)
 
 
-def weak_gamma_t(t, p: ModelParams):
-    """Time-dependent weak-coupling decay rate 2 d^2 (1 - e^{-t})."""
-    t = np.asarray(t, dtype=float)
-    out = 2.0 * p.d * p.d * (1.0 - np.exp(-t))
-    return out if out.ndim else float(out)
-
-
 def bessel_k0i_abs2(y: float) -> float:
     """|K_0(i y)|^2 = (pi^2/4)(J_0(y)^2 + Y_0(y)^2) for y > 0."""
     import scipy.special as sp
@@ -95,15 +86,6 @@ def gamma_infinity(p: ModelParams) -> float:
         )
     x = 4.0 * p.chi
     return 2.0 * p.d * p.d * (2.0 * bessel_k0i_abs2(1.0 / x) / (np.pi * x))
-
-
-def gamma_infinity_asymptotic(p: ModelParams) -> float:
-    """Large-chirp approximation d^2 [ln(4 chi)]^2 / (pi chi)."""
-    if p.chi < ASYMPTOTIC_MIN_CHI:
-        raise ValidationError(
-            f"the large-chirp expansion needs chi >= {ASYMPTOTIC_MIN_CHI}, got {p.chi}"
-        )
-    return p.d * p.d * np.log(4.0 * p.chi) ** 2 / (np.pi * p.chi)
 
 
 def markovian_ca(t, p: ModelParams):
@@ -132,8 +114,3 @@ def perturbed_rabi(p: ModelParams) -> tuple[float, float]:
     om = rabi_frequency(p)
     correction = p.chi * p.chi / (4.0 * om * om)
     return om * (1.0 + correction), correction * om
-
-
-def weak_lowchirp_gamma(p: ModelParams) -> float:
-    """Leading chirp correction to the weak-coupling rate: 2 d^2 (1 - 2 chi^2)."""
-    return 2.0 * p.d * p.d * (1.0 - 2.0 * p.chi * p.chi)

@@ -83,22 +83,12 @@ class BathGrid:
         return int(self.detunings.size)
 
 
-def structure_function(delta, p: ModelParams):
-    """Lorentzian spectral density (d^2/pi)/(1 + delta^2) at detuning ``delta``.
-
-    Its integral over all detunings is d^2, independent of time, because the
-    envelope is pinned while the modes slide underneath it.
-    """
-    delta = np.asarray(delta, dtype=float)
-    out = (p.d * p.d / np.pi) / (1.0 + delta * delta)
-    return out if out.ndim else float(out)
-
-
 def coupling(inst, spacing: float, p: ModelParams):
     """Real coupling g of a grid mode at instantaneous detuning ``inst``.
 
     A mode that started at delta0 sits at delta0 + chi*t, and its coupling
-    follows it under the fixed envelope: g^2 = spacing * structure_function(inst).
+    follows it under the fixed envelope: g^2 = spacing (d^2/pi) / (1 + inst^2),
+    a Lorentzian density whose integral over detunings is d^2 at every t.
     """
     return np.sqrt((spacing * p.d * p.d / np.pi) / (1.0 + inst * inst))
 

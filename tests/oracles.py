@@ -9,11 +9,23 @@ touches the envelope at all, and the Hankel-magnitude oracle rewrites
 going through Bessel functions.  The march oracle steps the implicit
 trapezoid rule one time point at a time, where the library divides two
 power series.
+
+The closed forms at the end are limits of the model that no command needs:
+the weak-coupling rates, the large-chirp asymptote of the flat rate, the
+Lorentzian spectral density written out on its own, and the static bath
+spectrum with its long-time limit.  Each refuses parameters outside the
+regime where its approximation holds, so a reference used out of range
+fails loudly.
 """
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import k0
+
+from chirped_bath import ValidationError, rabi_frequency
+
+ASYMPTOTIC_MIN_CHI = 10.0
+SPECTRUM_GATE_MIN_D = 4.0
 
 
 def kernel_oracle(tau: float, d: float, chi: float) -> float:
@@ -109,3 +121,91 @@ def march_oracle(kernel_values: np.ndarray, h: float, n: int) -> np.ndarray:
         c[m + 1] = (c[m] - 0.5 * h * (q_here + q_next)) / denom
         q_here = q_next + 0.5 * h * k0 * c[m + 1]
     return c
+
+
+def weak_gamma_t(t, p):
+    """Time-dependent weak-coupling decay rate 2 d^2 (1 - e^{-t})."""
+    t = np.asarray(t, dtype=float)
+    out = 2.0 * p.d * p.d * (1.0 - np.exp(-t))
+    return out if out.ndim else float(out)
+
+
+def weak_lowchirp_gamma(p):
+    """Leading chirp correction to the weak-coupling rate: 2 d^2 (1 - 2 chi^2)."""
+    return 2.0 * p.d * p.d * (1.0 - 2.0 * p.chi * p.chi)
+
+
+def gamma_infinity_asymptotic(p):
+    """Large-chirp approximation d^2 [ln(4 chi)]^2 / (pi chi) to gamma_infinity."""
+    if p.chi < ASYMPTOTIC_MIN_CHI:
+        raise ValidationError(
+            f"the large-chirp expansion needs chi >= {ASYMPTOTIC_MIN_CHI}, got {p.chi}"
+        )
+    return p.d * p.d * np.log(4.0 * p.chi) ** 2 / (np.pi * p.chi)
+
+
+def structure_function(delta, p):
+    """Lorentzian spectral density (d^2/pi)/(1 + delta^2) at detuning ``delta``.
+
+    Its integral over all detunings is d^2, independent of time, because the
+    envelope is pinned while the modes slide underneath it.
+    """
+    delta = np.asarray(delta, dtype=float)
+    out = (p.d * p.d / np.pi) / (1.0 + delta * delta)
+    return out if out.ndim else float(out)
+
+
+def static_ck(delta, t, p):
+    """Static strong-coupling mode amplitude, continuum normalized so that
+    |static_ck|^2 is directly the spectrum S(delta, t).
+
+    Builds on c_a ~ e^{-t/2} cos(Omega t / 2): each half of the cosine drives
+    the mode at delta -/+ Omega/2 with linewidth 1/2.
+    """
+    if not p.d > 0.5:
+        raise ValidationError(f"static_ck needs strong coupling d > 1/2, got d = {p.d}")
+    om = rabi_frequency(p)
+    delta = np.asarray(delta, dtype=float)
+    g_bar = np.sqrt(structure_function(delta, p))
+    out = np.zeros(delta.shape, dtype=complex)
+    for sign in (+1.0, -1.0):
+        z = delta - sign * 0.5 * om + 0.5j
+        out += (np.exp(1j * z * t) - 1.0) / z
+    out *= -0.5 * g_bar
+    return out if out.ndim else complex(out)
+
+
+def analytic_static_spectrum(delta, t, p):
+    """Static spectrum in the deep strong-coupling limit: two Lorentzians at
+    +/- Omega/2 with transient interference factors, plus a central term
+    proportional to e^{-t} sin^2(Omega t / 2) that dies with the emitter.
+    """
+    if p.d < SPECTRUM_GATE_MIN_D:
+        raise ValidationError(
+            f"the simplified spectrum needs d >= {SPECTRUM_GATE_MIN_D}, got d = {p.d}"
+        )
+    om = rabi_frequency(p)
+    delta = np.asarray(delta, dtype=float)
+    out = np.zeros(delta.shape, dtype=float)
+    for sign in (+1.0, -1.0):
+        x = delta - sign * 0.5 * om
+        lorentz = 0.5 / (2.0 * np.pi * (x * x + 0.25))
+        out += lorentz * (1.0 + np.exp(-t) - 2.0 * np.exp(-0.5 * t) * np.cos(x * t))
+    out += np.exp(-t) * np.sin(0.5 * om * t) ** 2 / (np.pi * (delta * delta + 1.0))
+    return out if out.ndim else float(out)
+
+
+def longtime_spectrum(delta, p):
+    """Long-time limit of the static spectrum: half the excitation in each of
+    two width-1/2 Lorentzians at +/- Omega/2 (integrates to 1 over delta)."""
+    if p.d < SPECTRUM_GATE_MIN_D:
+        raise ValidationError(
+            f"the simplified spectrum needs d >= {SPECTRUM_GATE_MIN_D}, got d = {p.d}"
+        )
+    om = rabi_frequency(p)
+    delta = np.asarray(delta, dtype=float)
+    out = np.zeros(delta.shape, dtype=float)
+    for sign in (+1.0, -1.0):
+        x = delta - sign * 0.5 * om
+        out += 0.5 / (2.0 * np.pi * (x * x + 0.25))
+    return out if out.ndim else float(out)

@@ -8,20 +8,11 @@ import pytest
 from scipy.optimize import brentq
 
 import chirped_bath as cb
-from chirped_bath import cli
 from oracles import k0i_abs2_oracle
 
 OMEGA_D8 = float(np.sqrt(255.0))
 GINF_8_400 = 2.9856338905786814
 VOLTERRA_STEPS = 500
-
-
-@pytest.fixture(scope="module")
-def figures_dir(tmp_path_factory):
-    """All shipped presets regenerated once, shared by the criteria below."""
-    out = tmp_path_factory.mktemp("figures")
-    assert cli.main(["paper-figures", "--out", str(out)]) == 0
-    return out
 
 
 @pytest.fixture(scope="module")

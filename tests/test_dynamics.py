@@ -43,6 +43,15 @@ def test_trajectory_validation():
         cb.Trajectory(
             times=np.array([0.0, 1.0]), pa=np.array([1.0, 0.5]), norms=np.array([1.0])
         )
+    with pytest.raises(cb.ValidationError):
+        cb.Trajectory(times=np.array([0.0, 1.0, 2.0]), pa=np.array([1.0, np.nan, 0.5]))
+    for times in ([0.0, np.nan, 2.0], [0.0, 1.0, np.inf]):
+        with pytest.raises(cb.ValidationError):
+            cb.Trajectory(times=np.array(times), pa=np.array([1.0, 0.8, 0.5]))
+    with pytest.raises(cb.ValidationError):
+        cb.Trajectory(
+            times=np.array([0.0, 1.0]), pa=np.array([1.0, 0.5]), norms=np.array([1.0, np.nan])
+        )
 
 
 def test_static_run_matches_exact_solution():
@@ -250,5 +259,19 @@ def test_solve_stays_on_one_thread():
     time.sleep(0.2)  # lets threads of earlier BLAS calls stop spinning
     wall, cpu = time.perf_counter(), time.process_time()
     cb.evolve(grid, p, 1.0, sample_every=1e-4)
+    wall, cpu = time.perf_counter() - wall, time.process_time() - cpu
+    assert cpu <= 1.25 * wall + 0.05
+
+
+def test_large_grid_rhs_stays_on_one_thread():
+    """At 14 877 modes the RHS mode sum would be one zdotc long enough for
+    OpenBLAS to take a second thread; in chunks it stays on one.  (From
+    about 5e4 modes the DP5 stage sums take two threads anyway.)"""
+    p = cb.ModelParams(d=8.0)
+    grid = cb.build_grid(p, 1.0, modes_per_gamma=155.0)
+    assert grid.size > 14000
+    time.sleep(0.2)  # lets threads of earlier BLAS calls stop spinning
+    wall, cpu = time.perf_counter(), time.process_time()
+    cb.evolve(grid, p, 1.0, sample_times=np.array([1.0]))
     wall, cpu = time.perf_counter() - wall, time.process_time() - cpu
     assert cpu <= 1.25 * wall + 0.05

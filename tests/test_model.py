@@ -13,10 +13,9 @@ from chirped_bath import (
     coupling,
     memory_kernel,
     rabi_frequency,
-    structure_function,
     xi,
 )
-from oracles import kernel_convolution_oracle, kernel_oracle
+from oracles import kernel_convolution_oracle, kernel_oracle, structure_function
 
 
 def _wide_grid(spacing: float = 0.02, half: float = 300.0) -> BathGrid:
@@ -52,6 +51,15 @@ def test_coupling_envelope_value():
     g0 = coupling(0.0, grid.spacing, p)
     assert g0 == pytest.approx(np.sqrt(0.1 * 64.0 / np.pi), rel=1e-12)
     assert g0 == pytest.approx(1.4273, abs=1e-4)
+
+
+def test_coupling_follows_structure_function():
+    """g^2 / spacing is the Lorentzian density at every instantaneous
+    detuning, against the oracle's own copy of the formula."""
+    p = ModelParams(d=3.0)
+    inst = np.linspace(-500.0, 500.0, 2001)
+    g = coupling(inst, 0.1, p)
+    assert np.max(np.abs(g * g / 0.1 / structure_function(inst, p) - 1.0)) < 1e-14
 
 
 def test_coupling_sum_rule_time_independent():
