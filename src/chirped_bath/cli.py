@@ -2,10 +2,11 @@
 
 Subcommands cover the three solution routes plus the analysis helpers, and a
 set of named presets regenerates every reference data set (fig2 ... fig9,
-sec5) as deterministic CSV.  Each subcommand is declared once in
-``COMMANDS``; its flags, its config keys and its preset choices are generated
-from that declaration, and ``paper-figures`` runs every preset through the
-same path as ``<command> --preset <name>``.  Configuration comes from flat
+sec5) as deterministic CSV.  ``COMMANDS`` names each subcommand's core
+function; the core's signature declares the command's keys (a key's cast
+from its annotation, required when it has no default), its flags and config
+keys are generated from them, and ``paper-figures`` runs every preset through
+the same path as ``<command> --preset <name>``.  Configuration comes from flat
 key=value files with command-line flags taking precedence; identical inputs
 always produce byte-identical output.
 """
@@ -13,8 +14,8 @@ always produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -317,73 +318,41 @@ def _mirror_line(
 # ------------------------------------------------------------- commands
 
 
-@dataclass(frozen=True)
-class _Command:
-    """One subcommand: the name of the module function that does its work
-    (looked up when the command runs), the cast of every key it reads from a
-    flag or a config file, and the keys it cannot run without.  Defaults live
-    in the function's signature."""
-
-    core: str
-    help: str
-    casts: dict
-    required: tuple = ()
-
-
-COMMANDS: dict[str, _Command] = {
-    "simulate": _Command(
-        "simulate_table",
-        "discrete-bath trajectory CSV",
-        {
-            "d": float, "chi": float, "t_end": float, "modes_per_gamma": float,
-            "sample_every": float, "with_static": _parse_bool, "with_markov": _parse_bool,
-        },
-        ("d", "t_end"),
-    ),
-    "volterra": _Command(
-        "volterra_table",
-        "memory-kernel route trajectory CSV",
-        {"d": float, "chi": float, "t_end": float, "steps": int},
-        ("d", "t_end"),
-    ),
-    "gamma-inf": _Command(
-        "gamma_inf_table",
-        "flat decay rate sweep CSV",
-        {
-            "d_list": _parse_float_list, "chi_min": float, "chi_max": float,
-            "chi_points": int, "fit_d": float, "fit_chis": _parse_float_list,
-            "modes_per_gamma": float,
-        },
-        ("d_list",),
-    ),
-    "spectrum": _Command(
-        "spectrum_table",
-        "bath spectrum snapshots CSV",
-        {"d": float, "chi": float, "times": _parse_float_list, "modes_per_gamma": float},
-        ("d", "times"),
-    ),
-    "classify": _Command(
-        "_classify_line", "regime report (or sec5 case table)", {"d": float, "chi": float}, ("d",)
-    ),
-    "mirror": _Command(
-        "_mirror_line",
-        "mirror motion to chirp rate",
-        {"omega0_si": float, "length_si": float, "length_rate_si": float, "gamma_si": float},
-        ("omega0_si", "length_si", "length_rate_si"),
-    ),
+COMMANDS: dict[str, tuple[str, str]] = {
+    "simulate": ("simulate_table", "discrete-bath trajectory CSV"),
+    "volterra": ("volterra_table", "memory-kernel route trajectory CSV"),
+    "gamma-inf": ("gamma_inf_table", "flat decay rate sweep CSV"),
+    "spectrum": ("spectrum_table", "bath spectrum snapshots CSV"),
+    "classify": ("_classify_line", "regime report (or sec5 case table)"),
+    "mirror": ("_mirror_line", "mirror motion to chirp rate"),
 }
+
+_CASTS = {"float": float, "int": int, "bool": _parse_bool, "list[float]": _parse_float_list}
+
+
+def _keys(core: str) -> tuple[dict, list]:
+    """The cast of every key ``core`` reads, from its parameter's annotation
+    (less any ``| None``), and the keys it cannot run without: those with no
+    default."""
+    params = inspect.signature(globals()[core]).parameters.values()
+    casts = {p.name: _CASTS[p.annotation.removesuffix(" | None")] for p in params}
+    return casts, [p.name for p in params if p.default is p.empty]
+
+
+# Read at import: a core replaced later (as the benchmark's tracer replaces
+# them, by name) keeps the keys of the function it stands in for.
+_KEYS = {core: _keys(core) for core, _ in COMMANDS.values()}
+_KEYS.update((p["core"], _keys(p["core"])) for p in PRESETS.values() if "core" in p)
 
 
 def _run(ns: argparse.Namespace) -> None:
-    """Run one subcommand.  Each key takes its value from the first layer
-    that sets it: flags, then the config file, then the preset.  Strings are
-    cast here; keys nobody set are left to the core's defaults.  A preset
-    with its own ``core`` names a table that reads no keys."""
-    spec = COMMANDS[ns.command]
+    """Run one subcommand's core (or its preset's), with the keys read from
+    the core's signature.  Each key takes its value from the first layer that
+    sets it: flags, then the config file, then the preset.  Strings are cast
+    here; keys nobody set are left to the core's defaults."""
     preset = PRESETS[ns.preset] if getattr(ns, "preset", None) else {}
-    core, casts, required = spec.core, spec.casts, spec.required
-    if "core" in preset:
-        core, casts, required = preset["core"], {}, ()
+    core = preset.get("core", COMMANDS[ns.command][0])
+    casts, required = _KEYS[core]
     casts = {**casts, "out": str}
     config = _read_config(ns.config) if ns.config else {}
     unknown = set(config) - set(casts)
@@ -420,14 +389,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Decay of a two-level emitter in a frequency-chirped Lorentzian bath",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, spec in COMMANDS.items():
-        sp = sub.add_parser(name, help=spec.help)
+    for name, (core, summary) in COMMANDS.items():
+        sp = sub.add_parser(name, help=summary)
         sp.add_argument("--config", help="key=value config file; flags win")
         presets = [p for p, preset in PRESETS.items() if preset["command"] == name]
         if presets:
             sp.add_argument("--preset", choices=presets)
         sp.add_argument("--out", help="output path (default: stdout)")
-        for key, cast in spec.casts.items():
+        for key, cast in _KEYS[core][0].items():
             flag = "--" + key.replace("_", "-")
             if cast is _parse_bool:
                 sp.add_argument(flag, dest=key, action="store_true", default=None)

@@ -128,16 +128,18 @@ def build_grid(
     if not 1 <= modes_per_gamma < np.inf:
         raise ValidationError(f"modes_per_gamma must be >= 1 and finite, got {modes_per_gamma}")
     spacing = 1.0 / float(modes_per_gamma)
-    w_low, w_high = _window_half_widths(p, horizon, spacing)
-    n_low = int(np.ceil(w_low / spacing - 1e-12))
-    n_high = int(np.ceil(w_high / spacing - 1e-12))
+    # Counted in floats before any int(): from d = 6.7e153 the window is inf.
+    with np.errstate(over="ignore"):
+        w_low, w_high = _window_half_widths(p, horizon, spacing)
+        n_low = np.ceil(w_low / spacing - 1e-12)
+        n_high = np.ceil(w_high / spacing - 1e-12)
     count = n_low + n_high + 1
     if count > MODE_CAP:
         raise ValidationError(
-            f"grid of {count} modes exceeds the cap {MODE_CAP}; "
+            f"grid of {count:.3g} modes exceeds the cap {MODE_CAP}; "
             "the horizon/chirp combination is infeasible at this density"
         )
-    detunings = spacing * np.arange(-n_low, n_high + 1)
+    detunings = spacing * np.arange(-int(n_low), int(n_high) + 1)
     return BathGrid(detunings=detunings, spacing=spacing)
 
 

@@ -100,6 +100,13 @@ def solve_volterra(p: ModelParams, t_end: float, steps: int = DEFAULT_STEPS) -> 
         raise ValidationError(f"t_end must be positive and finite, got {t_end}")
     n = int(steps)
     h = t_end / n
+    # The marches form h^2, d^2 and (h d)^2 and sum them over up to 2n + 1
+    # points; with each below 1e200 no sum and no FFT product overflows.
+    if not max(h, 1.0) * max(p.d, 1.0) < 1e100:
+        raise ValidationError(
+            f"the march coefficients overflow at step h = {h:g} and d = {p.d:g}; "
+            "lower --d or --t-end, or raise --steps"
+        )
     fine = _lag_lattice(p, 0.5 * h, 2 * n)
     pa_fine = np.abs(_march(fine, 0.5 * h, 2 * n)) ** 2
     pa_coarse = np.abs(_march(fine[::2], h, n)) ** 2

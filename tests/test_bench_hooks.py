@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from chirped_bath import _rk, volterra
+from chirped_bath import _rk, cli, volterra
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -53,3 +53,22 @@ def test_integrate_calls_rhs_with_two_arguments_and_uses_its_result():
     assert span["attrs"]["rhs_evals"] == len(calls) > 1
     assert span["attrs"]["rhs_s"] > 0.0
     assert np.max(np.abs(states[-1] - np.exp(-2j))) < 1e-7
+
+
+def test_cli_keys_survive_a_core_without_signature(tmp_path, monkeypatch):
+    """The tracer replaces each core with a ``(*args, **kwargs)`` wrapper
+    after import; the command still reads its keys from the real core and
+    calls the wrapper, found by name, with them."""
+    calls = []
+    original = cli.simulate_table
+
+    def wrapper(*args, **kwargs):
+        calls.append((args, kwargs))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "simulate_table", wrapper)
+    out = tmp_path / "a.csv"
+    argv = ["simulate", "--d", "0.2", "--t-end", "0.01", "--chi", "1", "--with-static"]
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    assert calls == [((), {"d": 0.2, "t_end": 0.01, "chi": 1.0, "with_static": True})]
+    assert out.read_text().startswith("t,pa,norm,pa_static,norm_static\n")

@@ -1,6 +1,7 @@
 """Command-line surface: precedence rules, table formats, determinism, and
 exit codes."""
 
+import inspect
 import json
 import os
 import subprocess
@@ -270,13 +271,19 @@ def test_gamma_inf_sweep(tmp_path):
         (["simulate", "--d", "0.2", "--t-end", "0.01"], "with_static = maybe\n", "a.csv"),
         (["gamma-inf", "--d-list", "1", "--chi-points", "1000000000"], None, "a.csv"),
         (["gamma-inf", "--d-list", "1,2", "--chi-points", "600000"], None, "a.csv"),
+        # 4 d^2 overflows past d = 6.7e153: an infinite window, no int mode count
+        (["simulate", "--d", "1e200", "--t-end", "1"], None, "a.csv"),
+        (["spectrum", "--d", "1e200", "--times", "0.1"], None, "a.csv"),
+        (["gamma-inf", "--d-list", "1", "--fit-d", "1e160", "--fit-chis", "5"], None, "a.csv"),
+        (["volterra", "--d", "1", "--t-end", "1e300", "--steps", "16"], None, "a.csv"),
     ],
     ids=[
         "config-text", "t-end-inf", "chi-inf", "chi-nan", "out-unwritable",
         "past-recurrence", "rel-tol-inf", "chi-max-inf", "mirror-nan", "mirror-negative",
         "mirror-gamma-underflow", "mirror-gamma-overflow", "mirror-chi-overflow",
         "sample-every-tiny", "kernel-phase-overflow", "bool-maybe", "sweep-chi-points",
-        "sweep-d-list",
+        "sweep-d-list", "grid-d-overflow", "spectrum-d-overflow", "fit-d-overflow",
+        "march-step-overflow",
     ],
 )
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, config, out):
@@ -303,6 +310,14 @@ def test_volterra_at_extreme_chirp(tmp_path, capsys, chi, t_end, steps):
     assert cli.main(argv + ["--out", str(out)]) == 0, capsys.readouterr().err
     pa = _read_csv(out)["pa"]
     assert pa.size == 2 * int(steps) + 1 and np.all(np.isfinite(pa))
+
+
+def test_preset_keys_are_parameters_of_their_core():
+    """A preset key its core does not take would be dropped without a word."""
+    for name, preset in cli.PRESETS.items():
+        core = preset.get("core", cli.COMMANDS[preset["command"]][0])
+        params = inspect.signature(getattr(cli, core)).parameters
+        assert set(preset) - {"command", "core"} <= set(params), name
 
 
 def test_preset_must_match_command():
