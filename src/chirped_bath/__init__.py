@@ -31,12 +31,7 @@ from .closedform import (
     static_exact_ca,
 )
 from .dynamics import Trajectory, evolve
-from .errors import (
-    GridCoverageError,
-    SolverError,
-    StepSizeUnderflowError,
-    ValidationError,
-)
+from .errors import SolverError, ValidationError
 from .model import (
     BathGrid,
     ModelParams,
@@ -59,13 +54,11 @@ __version__ = "0.1.0"
 __all__ = [
     "BathGrid",
     "DecayFit",
-    "GridCoverageError",
     "ModelParams",
     "RabiMeasurement",
     "RegimeReport",
     "SolverError",
     "SpectrumSeries",
-    "StepSizeUnderflowError",
     "Trajectory",
     "ValidationError",
     "VolterraSolution",

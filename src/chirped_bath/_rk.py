@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import StepSizeUnderflowError
+from .errors import SolverError
 
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
 _A = (
@@ -121,7 +121,7 @@ def integrate(rhs, t0, y0, sample_times, rel_tol=1e-8, *, keep):
 
     while idx < sample_times.size:
         if h < 1e-14 * max(1.0, abs(t)):
-            raise StepSizeUnderflowError(t)
+            raise SolverError(f"step size underflow at t = {t:.6g}")
         last = t + h >= t_last
         h_use = t_last - t if last else h
         w = h_use * _STAGE_W

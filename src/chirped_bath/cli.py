@@ -158,14 +158,12 @@ def simulate_table(
     """Trajectory columns for one parameter point, optionally with a chi=0
     reference run on the same sample times and the flat-rate overlay."""
     p = ModelParams(d=d, chi=chi)
-    grid = build_grid(p, t_end, modes_per_gamma)
-    traj = evolve(grid, p, t_end, sample_every=sample_every)
+    traj = evolve(build_grid(p, t_end, modes_per_gamma), sample_every=sample_every)
     header = ["t", "pa", "norm"]
     columns = [traj.times, traj.pa, traj.norms]
     if with_static:
-        p0 = ModelParams(d=d, chi=0.0)
-        grid0 = build_grid(p0, t_end, modes_per_gamma)
-        traj0 = evolve(grid0, p0, t_end, sample_every=sample_every)
+        grid0 = build_grid(ModelParams(d=d, chi=0.0), t_end, modes_per_gamma)
+        traj0 = evolve(grid0, sample_every=sample_every)
         header += ["pa_static", "norm_static"]
         columns += [traj0.pa, traj0.norms]
     if with_markov:
@@ -190,13 +188,11 @@ def spectrum_table(
     snap = np.asarray(sorted(set(float(t) for t in times)))
     if snap[0] <= 0:
         raise ValidationError("snapshot times must be positive")
-    p = ModelParams(d=d, chi=chi)
-    t_end = float(snap[-1])
-    grid = build_grid(p, t_end, modes_per_gamma)
-    traj = evolve(grid, p, t_end, rel_tol=RELAXED_REL_TOL, sample_times=snap, store_modes=True)
+    grid = build_grid(ModelParams(d=d, chi=chi), float(snap[-1]), modes_per_gamma)
+    traj = evolve(grid, rel_tol=RELAXED_REL_TOL, sample_times=snap, store_modes=True)
     rows = []
     for t, pa, c_modes in zip(traj.times, traj.pa, traj.modes):
-        series = numeric_spectrum(c_modes, t, grid, p)
+        series = numeric_spectrum(c_modes, t, grid)
         closure = spectrum_closure(series, pa)
         rows.extend((t, x, s, closure) for x, s in zip(series.detunings_now, series.values))
     return ["t", "detuning_now", "S", "closure"], rows
@@ -230,8 +226,7 @@ def gamma_inf_table(
         raise ValidationError("fit_chis given without fit_d")
     for chi in fit_chis or ():
         p = ModelParams(d=fit_d, chi=chi)
-        grid = build_grid(p, FIT_T_END, modes_per_gamma)
-        traj = evolve(grid, p, FIT_T_END, rel_tol=RELAXED_REL_TOL)
+        traj = evolve(build_grid(p, FIT_T_END, modes_per_gamma), rel_tol=RELAXED_REL_TOL)
         key = (float(fit_d), float(chi))
         if key not in entries:
             entries[key] = [p, gamma_infinity(p), None]
@@ -377,6 +372,8 @@ def _run(ns: argparse.Namespace) -> None:
     if missing:
         raise ValidationError(f"missing required parameter: {', '.join(missing)}")
     out = kw.pop("out", None)
+    if out is not None and "\0" in out:
+        raise ValidationError(f"output path {out!r} holds a NUL byte")
     _write(out, globals()[core](**kw))
 
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _rk
-from .errors import GridCoverageError, SolverError, ValidationError
-from .model import BathGrid, ModelParams, _window_half_widths, coupling
+from .errors import SolverError, ValidationError
+from .model import BathGrid, coupling
 
 DEFAULT_SAMPLE_EVERY = 1e-3
 # Largest samples x (modes + 1) complex amplitudes that `_rk.integrate` may
@@ -68,7 +68,7 @@ def _check_population(pa: np.ndarray) -> None:
         raise SolverError(f"pa reached {worst:.9g}, above the bound 1 + 1e-6")
 
 
-def _make_rhs(grid: BathGrid, p: ModelParams):
+def _make_rhs(grid: BathGrid):
     """dy/dt for y = (c_a, c_1, ..., c_N).
 
     Mode j sits at det_0 + j*s, so its phase det_j t + chi t^2 / 2 splits
@@ -81,6 +81,7 @@ def _make_rhs(grid: BathGrid, p: ModelParams):
     DP5 stage sums in ``_rk`` take two threads anyway.  Each call returns
     the same buffer, overwritten by the next call.
     """
+    p = grid.p
     n, s, chi = grid.size, grid.spacing, p.chi
     det0 = float(grid.detunings[0])
     rows = -(-n // _TABLE_WIDTH)
@@ -111,20 +112,6 @@ def _make_rhs(grid: BathGrid, p: ModelParams):
     return rhs
 
 
-def _check_coverage(grid: BathGrid, p: ModelParams, t_end: float) -> None:
-    w_low = -grid.window[0]
-    w_high = grid.window[1]
-    need_low, need_high = _window_half_widths(p, t_end, grid.spacing)
-    # min(need_low, need_high) is the static half-width
-    slack = 1e-9 * max(1.0, min(need_low, need_high))
-    if w_low < need_low - slack or w_high < need_high - slack:
-        raise GridCoverageError(
-            f"grid window [{-w_low:.3f}, {w_high:.3f}] leaves significantly coupled "
-            f"modes outside the grid before t = {t_end:g} "
-            f"(need [-{need_low:.3f}, {need_high:.3f}])"
-        )
-
-
 def _sample_times(t_end: float, every: float) -> np.ndarray:
     n = int(np.floor(t_end / every + 1e-9))
     ts = every * np.arange(n + 1)
@@ -137,8 +124,6 @@ def _sample_times(t_end: float, every: float) -> np.ndarray:
 
 def evolve(
     grid: BathGrid,
-    p: ModelParams,
-    t_end: float,
     *,
     rel_tol: float = 1e-8,
     sample_every: float = DEFAULT_SAMPLE_EVERY,
@@ -146,19 +131,16 @@ def evolve(
     store_modes: bool = False,
 ) -> Trajectory:
     """Advance the coupled amplitude equations from the excited emitter and
-    empty bath at t = 0 to ``t_end``.
+    empty bath at t = 0 to ``grid.horizon``.
 
     Mode amplitudes are kept only on request since high-chirp grids can hold
-    1e5-1e6 modes.  The norm may drift by at most 10 * rel_tol * t_end at
-    any sample.
+    1e5-1e6 modes.  The norm may drift by at most 10 * rel_tol * horizon
+    at any sample.
     """
     for name, value in (("rel_tol", rel_tol), ("sample_every", sample_every)):
         if not 0 < value < np.inf:
             raise ValidationError(f"{name} must be positive and finite, got {value}")
-    if not t_end > 0:
-        raise ValidationError(f"t_end must be positive, got {t_end}")
-    _check_coverage(grid, p, t_end)
-
+    t_end = grid.horizon
     times = None if sample_times is None else np.asarray(sample_times, dtype=float)
     count = t_end / sample_every + 2 if times is None else times.size
     size = count * (grid.size + 1) * 16.0
@@ -173,11 +155,11 @@ def evolve(
     elif times.size == 0 or np.any(np.diff(times) <= 0):
         raise ValidationError("sample_times must be non-empty and strictly increasing")
     elif times[0] < -1e-12 or times[-1] > t_end + 1e-12:
-        raise ValidationError("sample_times must lie within [0, t_end]")
+        raise ValidationError("sample_times must lie within [0, grid.horizon]")
 
     y0 = np.zeros(grid.size + 1, dtype=complex)
     y0[0] = 1.0
-    rhs = _make_rhs(grid, p)
+    rhs = _make_rhs(grid)
 
     def keep(states: np.ndarray) -> np.ndarray:
         # columns pa, norm and, on request, the mode amplitudes

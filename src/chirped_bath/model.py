@@ -10,11 +10,11 @@ SI values enter only through optional conversion at the CLI boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GridCoverageError, ValidationError
+from .errors import ValidationError
 
 # Half-window of the detuning grid when there is no oscillatory structure to
 # resolve (weak coupling), in units of the envelope half-width.
@@ -49,28 +49,40 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class BathGrid:
-    """Uniform grid of initial mode detunings.
+    """One discrete-bath problem: params ``p``, the horizon it is solved to
+    and the uniform grid of initial mode detunings that stays resolved over
+    ``[0, horizon]``.
 
-    The inverse spacing plays the role of the density of states, so a mode
-    amplitude squared divided by ``spacing`` is a spectral density.
+    The window follows ``_window_half_widths``; its boundaries snap outward
+    to integer multiples of ``spacing``.  The inverse spacing plays the role
+    of the density of states, so a mode amplitude squared divided by
+    ``spacing`` is a spectral density.
     """
 
-    detunings: np.ndarray
+    p: ModelParams
+    horizon: float
     spacing: float
+    detunings: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        det = np.asarray(self.detunings, dtype=float)
-        if det.ndim != 1 or det.size < 2:
-            raise ValidationError("grid needs at least two detunings")
-        if not 0 < self.spacing < np.inf:
-            raise ValidationError(f"spacing must be positive and finite, got {self.spacing}")
-        steps = np.diff(det)
-        if np.any(steps <= 0):
-            raise ValidationError("detunings must be strictly increasing")
-        if np.max(np.abs(steps - self.spacing)) > 1e-9 * self.spacing:
-            raise ValidationError("detunings must be uniformly spaced to 1 part in 1e9")
-        # Snap to the exact progression the RHS phase table assumes.
-        det = det[0] + self.spacing * np.arange(det.size)
+        if not 0 < self.horizon < np.inf:
+            raise ValidationError(f"horizon must be positive and finite, got {self.horizon}")
+        spacing = self.spacing
+        if not 0 < spacing < np.inf:
+            raise ValidationError(f"spacing must be positive and finite, got {spacing}")
+        # Counted in floats before any int(): from d = 6.7e153 the window is inf.
+        with np.errstate(over="ignore"):
+            w_low, w_high = _window_half_widths(self.p, self.horizon, spacing)
+            n_low = np.ceil(w_low / spacing - 1e-12)
+            n_high = np.ceil(w_high / spacing - 1e-12)
+        count = n_low + n_high + 1
+        if count > MODE_CAP:
+            raise ValidationError(
+                f"grid of {count:.3g} modes exceeds the cap {MODE_CAP}; "
+                "the horizon/chirp combination is infeasible at this density"
+            )
+        # The exact progression det_0 + spacing * j that the RHS phase table assumes.
+        det = spacing * -n_low + spacing * np.arange(int(count))
         det.flags.writeable = False
         object.__setattr__(self, "detunings", det)
 
@@ -104,7 +116,7 @@ def _window_half_widths(p: ModelParams, horizon: float, spacing: float) -> tuple
     before that, so a horizon beyond half the revival time is refused.
     """
     if horizon > np.pi / spacing:
-        raise GridCoverageError(
+        raise ValidationError(
             f"horizon {horizon:g} exceeds pi * modes_per_gamma = {np.pi / spacing:g}, half "
             "the discrete bath's recurrence time; raise --modes-per-gamma"
         )
@@ -118,29 +130,11 @@ def _window_half_widths(p: ModelParams, horizon: float, spacing: float) -> tuple
 def build_grid(
     p: ModelParams, horizon: float, modes_per_gamma: float = DEFAULT_MODES_PER_GAMMA
 ) -> BathGrid:
-    """Construct a bath grid that stays resolved over ``[0, horizon]``.
-
-    The window follows ``_window_half_widths``; its boundaries snap outward
-    to integer multiples of the spacing.
-    """
-    if not 0 < horizon < np.inf:
-        raise ValidationError(f"horizon must be positive and finite, got {horizon}")
+    """The bath grid of ``p`` over ``[0, horizon]`` at ``modes_per_gamma``
+    modes per unit of the envelope half-width."""
     if not 1 <= modes_per_gamma < np.inf:
         raise ValidationError(f"modes_per_gamma must be >= 1 and finite, got {modes_per_gamma}")
-    spacing = 1.0 / float(modes_per_gamma)
-    # Counted in floats before any int(): from d = 6.7e153 the window is inf.
-    with np.errstate(over="ignore"):
-        w_low, w_high = _window_half_widths(p, horizon, spacing)
-        n_low = np.ceil(w_low / spacing - 1e-12)
-        n_high = np.ceil(w_high / spacing - 1e-12)
-    count = n_low + n_high + 1
-    if count > MODE_CAP:
-        raise ValidationError(
-            f"grid of {count:.3g} modes exceeds the cap {MODE_CAP}; "
-            "the horizon/chirp combination is infeasible at this density"
-        )
-    detunings = spacing * np.arange(-int(n_low), int(n_high) + 1)
-    return BathGrid(detunings=detunings, spacing=spacing)
+    return BathGrid(p, horizon, 1.0 / float(modes_per_gamma))
 
 
 def rabi_frequency(p: ModelParams) -> float:

@@ -43,7 +43,7 @@ class SpectrumSeries:
         object.__setattr__(self, "values", s)
 
 
-def numeric_spectrum(c_modes, t: float, grid: BathGrid, p: ModelParams) -> SpectrumSeries:
+def numeric_spectrum(c_modes, t: float, grid: BathGrid) -> SpectrumSeries:
     """Spectrum of the mode amplitudes ``c_modes`` at time ``t``:
     S_k = |c_k|^2 / spacing at delta_k + chi*t."""
     c = np.asarray(c_modes)
@@ -52,7 +52,7 @@ def numeric_spectrum(c_modes, t: float, grid: BathGrid, p: ModelParams) -> Spect
             f"{c.size} mode amplitudes given but the grid has {grid.size}"
         )
     values = np.abs(c) ** 2 / grid.spacing
-    return SpectrumSeries(detunings_now=grid.detunings + p.chi * t, values=values, t=t)
+    return SpectrumSeries(detunings_now=grid.detunings + grid.p.chi * t, values=values, t=t)
 
 
 def spectrum_closure(series: SpectrumSeries, pa: float) -> float:

@@ -100,12 +100,14 @@ def solve_volterra(p: ModelParams, t_end: float, steps: int = DEFAULT_STEPS) -> 
         raise ValidationError(f"t_end must be positive and finite, got {t_end}")
     n = int(steps)
     h = t_end / n
-    # The marches form h^2, d^2 and (h d)^2 and sum them over up to 2n + 1
-    # points; with each below 1e200 no sum and no FFT product overflows.
-    if not max(h, 1.0) * max(p.d, 1.0) < 1e100:
+    # The step must resolve the kernel's decay and the Rabi period 2 pi /
+    # sqrt(4 d^2 - 1): past h d = 1 the estimate no longer follows the error
+    # (0.028 against a true 0.93 at d = 1e4, h d = 625).  With h <= 1 and d
+    # below 1e100, no sum of h^2, d^2 and (h d)^2 and no FFT product overflows.
+    if not (h * max(p.d, 1.0) <= 1.0 and p.d < 1e100):
         raise ValidationError(
-            f"the march coefficients overflow at step h = {h:g} and d = {p.d:g}; "
-            "lower --d or --t-end, or raise --steps"
+            f"step h = {h:g} does not resolve d = {p.d:g}: need h max(d, 1) <= 1 "
+            "and d < 1e100; raise --steps, or lower --d or --t-end"
         )
     fine = _lag_lattice(p, 0.5 * h, 2 * n)
     pa_fine = np.abs(_march(fine, 0.5 * h, 2 * n)) ** 2

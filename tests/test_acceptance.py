@@ -19,7 +19,7 @@ VOLTERRA_STEPS = 500
 def weak_static_run():
     p = cb.ModelParams(d=0.2, chi=0.0)
     grid = cb.build_grid(p, 1.0)
-    return cb.evolve(grid, p, 1.0)
+    return cb.evolve(grid)
 
 
 def _read(figures_dir, name):

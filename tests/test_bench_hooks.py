@@ -72,3 +72,27 @@ def test_cli_keys_survive_a_core_without_signature(tmp_path, monkeypatch):
     assert cli.main(argv + ["--out", str(out)]) == 0
     assert calls == [((), {"d": 0.2, "t_end": 0.01, "chi": 1.0, "with_static": True})]
     assert out.read_text().startswith("t,pa,norm,pa_static,norm_static\n")
+
+
+def test_every_grid_is_built_through_build_grid(tmp_path, monkeypatch):
+    """The tracer reads ``model.modes`` off its wrapper of ``cli.build_grid``;
+    a command that built a grid any other way would make it read 0."""
+    calls = []
+    original = cli.build_grid
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_grid", counting)
+    out = str(tmp_path / "a.csv")
+    runs = [
+        (["simulate", "--d", "0.2", "--chi", "1", "--t-end", "0.01", "--with-static"], 2),
+        (["spectrum", "--d", "2", "--times", "0.05,0.1"], 1),
+        (["gamma-inf", "--d-list", "0.2", "--chi-min", "1", "--chi-max", "10",
+          "--chi-points", "2", "--fit-d", "0.2", "--fit-chis", "1,3,5"], 3),
+    ]
+    for argv, grids in runs:
+        calls.clear()
+        assert cli.main(argv + ["--out", out]) == 0
+        assert len(calls) == grids, argv

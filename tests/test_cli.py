@@ -276,6 +276,12 @@ def test_gamma_inf_sweep(tmp_path):
         (["spectrum", "--d", "1e200", "--times", "0.1"], None, "a.csv"),
         (["gamma-inf", "--d-list", "1", "--fit-d", "1e160", "--fit-chis", "5"], None, "a.csv"),
         (["volterra", "--d", "1", "--t-end", "1e300", "--steps", "16"], None, "a.csv"),
+        # the whole solve ran before open() refused the path with a traceback
+        (["simulate", "--d", "1", "--t-end", "0.1"], None, "a\x00b.csv"),
+        # h d = 625: the Richardson estimate read 0.028 against a true error of 0.93
+        (["volterra", "--d", "1e4", "--t-end", "1", "--steps", "16"], None, "a.csv"),
+        # h d = 977: pa reached 1e22 and the solve exited 3
+        (["volterra", "--d", "1e6", "--t-end", "1", "--steps", "1024"], None, "a.csv"),
     ],
     ids=[
         "config-text", "t-end-inf", "chi-inf", "chi-nan", "out-unwritable",
@@ -283,7 +289,7 @@ def test_gamma_inf_sweep(tmp_path):
         "mirror-gamma-underflow", "mirror-gamma-overflow", "mirror-chi-overflow",
         "sample-every-tiny", "kernel-phase-overflow", "bool-maybe", "sweep-chi-points",
         "sweep-d-list", "grid-d-overflow", "spectrum-d-overflow", "fit-d-overflow",
-        "march-step-overflow",
+        "march-step-overflow", "out-nul-byte", "march-unresolved", "march-unresolved-exit-3",
     ],
 )
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, config, out):

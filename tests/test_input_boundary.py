@@ -23,6 +23,7 @@ from chirped_bath import (
     cli,
     solve_volterra,
 )
+from chirped_bath.model import _window_half_widths
 
 SETTINGS = settings(database=None, derandomize=True, deadline=None)
 
@@ -46,8 +47,19 @@ def _total(call):
 @SETTINGS
 @given(d=NUMBERS, chi=NUMBERS, horizon=NUMBERS, modes_per_gamma=NUMBERS)
 def test_build_grid_is_total(d, chi, horizon, modes_per_gamma):
+    """A grid that is built holds the window the rule gives its params and
+    horizon, to within rounding and less than one spacing more, as the exact
+    progression det_0 + spacing * j."""
     grid = _total(lambda: build_grid(ModelParams(d=d, chi=chi), horizon, modes_per_gamma))
-    assert grid is None or np.all(np.isfinite(grid.detunings))
+    if grid is None:
+        return
+    s = grid.spacing
+    assert np.all(np.isfinite(grid.detunings))
+    assert np.array_equal(grid.detunings, grid.detunings[0] + s * np.arange(grid.size))
+    needs = _window_half_widths(grid.p, horizon, s)
+    for held, need in zip((-grid.window[0], grid.window[1]), needs):
+        slack = 1e-12 * s + 4e-16 * need
+        assert need - slack <= held < need + s + slack
 
 
 @SETTINGS

@@ -12,7 +12,7 @@ import oracles
 def _evolved(p, t_end, snap_times, rel_tol=1e-7):
     grid = cb.build_grid(p, t_end)
     snap = np.asarray(snap_times, dtype=float)
-    traj = cb.evolve(grid, p, t_end, rel_tol=rel_tol, sample_times=snap, store_modes=True)
+    traj = cb.evolve(grid, rel_tol=rel_tol, sample_times=snap, store_modes=True)
     return traj, grid
 
 
@@ -31,7 +31,7 @@ def test_series_validation():
 def test_initial_spectrum_is_zero():
     p = cb.ModelParams(d=8.0)
     grid = cb.build_grid(p, 1.0)
-    series = cb.numeric_spectrum(np.zeros(grid.size, dtype=complex), 0.0, grid, p)
+    series = cb.numeric_spectrum(np.zeros(grid.size, dtype=complex), 0.0, grid)
     assert not series.values.any()
     assert cb.spectrum_closure(series, 1.0) == pytest.approx(1.0)
 
@@ -40,20 +40,20 @@ def test_numeric_spectrum_rejects_misaligned_state():
     p = cb.ModelParams(d=8.0)
     grid = cb.build_grid(p, 1.0)
     with pytest.raises(cb.ValidationError):
-        cb.numeric_spectrum(np.zeros(7, dtype=complex), 0.0, grid, p)
+        cb.numeric_spectrum(np.zeros(7, dtype=complex), 0.0, grid)
 
 
 def test_static_spectrum_symmetric():
     p = cb.ModelParams(d=8.0)
     traj, grid = _evolved(p, 0.5, [0.5])
-    series = cb.numeric_spectrum(traj.modes[-1], traj.times[-1], grid, p)
+    series = cb.numeric_spectrum(traj.modes[-1], traj.times[-1], grid)
     assert np.max(np.abs(series.values - series.values[::-1])) < 1e-12
 
 
 def test_closure_on_evolved_state():
     p = cb.ModelParams(d=8.0)
     traj, grid = _evolved(p, 0.5, [0.5])
-    series = cb.numeric_spectrum(traj.modes[-1], traj.times[-1], grid, p)
+    series = cb.numeric_spectrum(traj.modes[-1], traj.times[-1], grid)
     assert abs(cb.spectrum_closure(series, traj.pa[-1]) - 1.0) < 1e-3
 
 
@@ -66,7 +66,7 @@ def test_chirped_population_drifts_upward():
     traj, grid = _evolved(p, 2.0, snaps)
     coms = []
     for t, c_modes in zip(traj.times, traj.modes):
-        series = cb.numeric_spectrum(c_modes, t, grid, p)
+        series = cb.numeric_spectrum(c_modes, t, grid)
         sel = series.detunings_now > 3.0 + chi * (t - snaps[0])
         weight = series.values[sel]
         coms.append(np.sum(series.detunings_now[sel] * weight) / np.sum(weight))
@@ -97,7 +97,7 @@ def test_static_ck_tracks_dynamics_near_peaks():
     om = cb.rabi_frequency(p)
     t = 4.0 * np.pi / om
     traj, grid = _evolved(p, t, [t])
-    series = cb.numeric_spectrum(traj.modes[-1], traj.times[-1], grid, p)
+    series = cb.numeric_spectrum(traj.modes[-1], traj.times[-1], grid)
     approx = np.abs(oracles.static_ck(grid.detunings, t, p)) ** 2
     near = np.abs(np.abs(grid.detunings) - om / 2) < 1.0
     assert np.max(np.abs(approx[near] / series.values[near] - 1.0)) < 0.10

@@ -26,6 +26,17 @@ def test_t_end_validation():
         cb.solve_volterra(cb.ModelParams(d=1.0), 0.0)
 
 
+def test_step_must_resolve_the_coupling():
+    """A step h is accepted while h max(d, 1) <= 1: it then resolves both the
+    kernel's unit decay time and the Rabi period, and the Richardson
+    estimate follows the error."""
+    cb.solve_volterra(cb.ModelParams(d=16.0), 1.0, steps=16)
+    cb.solve_volterra(cb.ModelParams(d=0.2), 16.0, steps=16)
+    for d, t_end in ((16.5, 1.0), (0.2, 16.5), (1e100, 1e-200)):
+        with pytest.raises(cb.ValidationError, match="--steps"):
+            cb.solve_volterra(cb.ModelParams(d=d), t_end, steps=16)
+
+
 def test_time_grid_and_bounds():
     sol = cb.solve_volterra(cb.ModelParams(d=1.0), 0.8, steps=32)
     assert np.allclose(sol.times, np.linspace(0.0, 0.8, 65))
@@ -91,7 +102,7 @@ def test_chirped_cross_check_against_dynamics():
     p = cb.ModelParams(d=8.0, chi=20.0)
     sol = cb.solve_volterra(p, 1.0, steps=500)
     grid = cb.build_grid(p, 1.0)
-    traj = cb.evolve(grid, p, 1.0)
+    traj = cb.evolve(grid)
     assert traj.times.size == sol.times.size
     assert np.max(np.abs(traj.times - sol.times)) < 1e-9
     assert np.max(np.abs(traj.pa - sol.pa)) < 1e-3
