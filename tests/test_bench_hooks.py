@@ -43,16 +43,21 @@ def test_integrate_calls_rhs_with_two_arguments_and_uses_its_result():
     calls = []
 
     def rhs(t, y):
+        # one mode at detuning 1 with coupling 2: u(t) = 2 e^{it}
         calls.append(t)
-        return -2j * y
+        u = 2.0 * np.exp(1j * t)
+        return np.array([-1j * np.conj(u) * y[1], -1j * u * y[0]])
 
-    states, _ = tracer._integrate(_rk.integrate)(
-        rhs, 0.0, np.ones(3, dtype=complex), np.array([0.0, 1.0]), keep=lambda block: block
+    kept, _ = tracer._integrate(_rk.integrate)(
+        rhs, 0.0, np.array([1.0, 0.0], dtype=complex), np.array([0.0, 1.0])
     )
     (span,) = tracer.take()
     assert span["attrs"]["rhs_evals"] == len(calls) > 1
     assert span["attrs"]["rhs_s"] > 0.0
-    assert np.max(np.abs(states[-1] - np.exp(-2j))) < 1e-7
+    # c_a = e^{-it/2} (cos(W t/2) + i sin(W t/2) / W) with W = sqrt(1 + 4 * 2^2)
+    w = np.sqrt(17.0)
+    exact = np.exp(-0.5j) * (np.cos(0.5 * w) + 1j * np.sin(0.5 * w) / w)
+    assert abs(kept[-1, 0] - exact) < 1e-7
 
 
 def test_cli_keys_survive_a_core_without_signature(tmp_path, monkeypatch):

@@ -89,7 +89,7 @@ def _overshoot_integrate(monkeypatch):
 
     def overshoot(*args, **kwargs):
         kept, n_steps = integrate(*args, **kwargs)
-        kept[kept.shape[0] // 2, 0] = 1.0 + 1e-4  # the pa column
+        kept[kept.shape[0] // 2, 0] = 1.0 + 1e-4  # the c_a column
         return kept, n_steps
 
     monkeypatch.setattr(dynamics._rk, "integrate", overshoot)

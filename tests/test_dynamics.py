@@ -9,6 +9,7 @@ import pytest
 
 import chirped_bath as cb
 from chirped_bath import dynamics
+from chirped_bath.cli import RELAXED_REL_TOL
 
 
 def _run(p, t_end, **kw):
@@ -146,9 +147,9 @@ def test_norm_drift_checked_at_every_sample(monkeypatch):
 
 @pytest.mark.parametrize("rel_tol", [1e-10, 1e-11])
 def test_tight_tolerance_tightens_the_norm(rel_tol):
-    """Below the default tolerance the norm drift falls with rel_tol, well
-    inside evolve's budget of 10 * rel_tol * t_end: a fixed absolute error
-    floor held it near 2.5e-9, which failed that budget at 1e-10."""
+    """Below the default tolerance the norm drift stays well inside evolve's
+    budget: the propagator is unitary, so the norm moves by rounding alone.  (A stepper whose norm held only through its error
+    control, with a fixed absolute error floor, drifted 2.5e-9 here.)"""
     traj, _ = _run(cb.ModelParams(d=8.0), 2.0, rel_tol=rel_tol)
     assert np.max(np.abs(traj.norms - 1.0)) <= rel_tol * 2.0
 
@@ -219,8 +220,8 @@ def test_tabulated_rhs_matches_direct_formula(chi):
 
 @pytest.mark.parametrize("chi", [0.0, 400.0])
 def test_rhs_rebuilds_couplings_whenever_time_changes(chi):
-    """The RHS keeps its phased couplings from one call to the next at the
-    same time; any other time, even 1 ulp away, gets fresh ones."""
+    """The RHS builds its phased couplings at every call: two calls at the
+    same time agree, and any other time, even 1 ulp away, gets its own."""
     p = cb.ModelParams(d=2.0, chi=chi)
     grid = cb.build_grid(p, 3.0, modes_per_gamma=10.0 if chi == 0 else 1.0)
     rng = np.random.default_rng(5)
@@ -240,9 +241,9 @@ def test_rhs_rebuilds_couplings_whenever_time_changes(chi):
 
 
 def test_solve_stays_on_one_thread():
-    """The DP5 sums are BLAS calls; at the benchmark's grid sizes none may
-    start a second thread, which would raise CPU time above wall time.
-    Sampling every 1e-4 fills the dense-output blocks to their size limit."""
+    """The step and sample algebra makes BLAS calls; at the benchmark's grid
+    sizes none may start a second thread, which would raise CPU time above
+    wall time.  Sampling every 1e-4 puts several samples in every step."""
     p = cb.ModelParams(d=8.0)
     grid = cb.build_grid(p, 1.0, modes_per_gamma=52.5)
     assert grid.size >= 4000
@@ -255,8 +256,7 @@ def test_solve_stays_on_one_thread():
 
 def test_large_grid_rhs_stays_on_one_thread():
     """At 14 877 modes the RHS mode sum would be one zdotc long enough for
-    OpenBLAS to take a second thread; in chunks it stays on one.  (From
-    about 5e4 modes the DP5 stage sums take two threads anyway.)"""
+    OpenBLAS to take a second thread; in chunks it stays on one."""
     p = cb.ModelParams(d=8.0)
     grid = cb.build_grid(p, 1.0, modes_per_gamma=155.0)
     assert grid.size > 14000
@@ -265,3 +265,42 @@ def test_large_grid_rhs_stays_on_one_thread():
     cb.evolve(grid, sample_times=np.array([1.0]))
     wall, cpu = time.perf_counter() - wall, time.process_time() - cpu
     assert cpu <= 1.25 * wall + 0.05
+
+
+def test_whole_solve_stays_on_one_thread_at_1e5_modes():
+    """At 95 971 modes the Gram and projection sums of a step would each be
+    a zdotc long enough for two threads, and a BLAS three-row update takes
+    two from far fewer modes; in chunks and elementwise they stay on one."""
+    grid = cb.build_grid(cb.ModelParams(d=8.0), 0.05, modes_per_gamma=1000.0)
+    assert grid.size == 95971
+    wall, cpu = time.perf_counter(), time.process_time()
+    cb.evolve(grid, sample_times=np.array([0.05]))
+    wall, cpu = time.perf_counter() - wall, time.process_time() - cpu
+    assert cpu <= 1.25 * wall + 0.05
+
+
+OMEGA_D8 = np.sqrt(255.0)
+
+
+@pytest.mark.parametrize(
+    "d, chi, horizon, snapshots, tolerances",
+    [
+        # fig4's and fig7's parameters over part of their horizons, sampled every 1e-3
+        (8.0, 400.0, 0.2, None, (1e-8, RELAXED_REL_TOL)),
+        (8.0, 8.4, 0.6, None, (1e-8, RELAXED_REL_TOL)),
+        # the fig2 spectrum preset, at the tolerance the spectra run at
+        (8.0, 0.0, 8.0 * np.pi / OMEGA_D8, np.array([1.0, 4.0, 5.0, 8.0]) * np.pi / OMEGA_D8,
+         (RELAXED_REL_TOL,)),
+    ],
+    ids=["fig4", "fig7", "fig2"],
+)
+def test_pa_lies_within_rel_tol_of_the_converged_solution(d, chi, horizon, snapshots, tolerances):
+    """evolve's accuracy target: at every sample, pa lies within rel_tol of a
+    rel_tol = 1e-12 solve of the same grid, and the norm within 1e-12 of 1.
+    That is 1e4 below the smallest window error of the presets (1.3e-4)."""
+    grid = cb.build_grid(cb.ModelParams(d=d, chi=chi), horizon)
+    reference = cb.evolve(grid, rel_tol=1e-12, sample_times=snapshots)
+    for rel_tol in tolerances:
+        traj = cb.evolve(grid, rel_tol=rel_tol, sample_times=snapshots)
+        assert np.max(np.abs(traj.pa - reference.pa)) <= rel_tol
+        assert np.max(np.abs(traj.norms - 1.0)) <= 1e-12

@@ -150,3 +150,18 @@ def test_detached_peak_needs_search_window():
     series = cb.SpectrumSeries(detunings_now=xs, values=np.ones_like(xs), t=1.0)
     with pytest.raises(cb.ValidationError):
         cb.detached_peak_area(series, cb.ModelParams(d=8.0))
+
+
+def test_snapshots_do_not_follow_rounding_of_rel_tol():
+    """A 1e-15 relative change of rel_tol moves no snapshot spectrum by more
+    than 1e-12: every step size comes from error estimates far above
+    rounding.  (A stepper whose first steps were sized by error estimates
+    near rounding moved S by 4.8e-10 here.)"""
+    p = cb.ModelParams(d=5.0, chi=120.0)
+    times = [0.4, 0.8, 1.2, 1.6]
+    a, grid = _evolved(p, 1.6, times, rel_tol=1e-7)
+    b, _ = _evolved(p, 1.6, times, rel_tol=1e-7 * (1 + 1e-15))
+    for k, t in enumerate(times):
+        sa = cb.numeric_spectrum(a.modes[k], t, grid).values
+        sb = cb.numeric_spectrum(b.modes[k], t, grid).values
+        assert np.max(np.abs(sa - sb)) <= 1e-12
