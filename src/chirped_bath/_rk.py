@@ -107,8 +107,6 @@ _BLOCK_ROWS = 64
 
 def _dot(a, b):
     """sum conj(a) b, one np.vdot per ``_DOT_CHUNK`` entries."""
-    if a.size <= _DOT_CHUNK:
-        return np.vdot(a, b)
     total = np.vdot(a[:_DOT_CHUNK], b[:_DOT_CHUNK])
     for lo in range(_DOT_CHUNK, a.size, _DOT_CHUNK):
         total += np.vdot(a[lo:lo + _DOT_CHUNK], b[lo:lo + _DOT_CHUNK])
