@@ -38,7 +38,6 @@ EXIT_SOLVER = 3
 # Trajectories (simulate) run at evolve's own default.
 RELAXED_REL_TOL = 1e-7
 FIT_WINDOW = (0.1, 1.0)
-FIT_T_END = 1.5
 # A gamma-inf sweep point costs 13-14 us and holds about 0.55 KiB until the
 # table is written (2-CPU Xeon; 5e5 points took 6.5-7.0 s and 321 MiB peak
 # RSS), so a sweep at this limit takes about 14 s in about 0.6 GiB.
@@ -226,7 +225,7 @@ def gamma_inf_table(
         raise ValidationError("fit_chis given without fit_d")
     for chi in fit_chis or ():
         p = ModelParams(d=fit_d, chi=chi)
-        traj = evolve(build_grid(p, FIT_T_END, modes_per_gamma), rel_tol=RELAXED_REL_TOL)
+        traj = evolve(build_grid(p, FIT_WINDOW[1], modes_per_gamma), rel_tol=RELAXED_REL_TOL)
         key = (float(fit_d), float(chi))
         if key not in entries:
             entries[key] = [p, gamma_infinity(p), None]
@@ -372,9 +371,15 @@ def _run(ns: argparse.Namespace) -> None:
     if missing:
         raise ValidationError(f"missing required parameter: {', '.join(missing)}")
     out = kw.pop("out", None)
+    _check_path(out)
+    _write(out, globals()[core](**kw))
+
+
+def _check_path(out: str | None) -> None:
+    """Refuse an output path that no file system call can take, before any
+    solve runs or any directory is made."""
     if out is not None and "\0" in out:
         raise ValidationError(f"output path {out!r} holds a NUL byte")
-    _write(out, globals()[core](**kw))
 
 
 # --------------------------------------------------------------- parser
@@ -413,6 +418,7 @@ def main(argv: list[str] | None = None) -> int:
         if ns.command != "paper-figures":
             _run(ns)
         else:
+            _check_path(ns.out)
             out_dir = Path(ns.out)
             out_dir.mkdir(parents=True, exist_ok=True)
             for name, preset in PRESETS.items():

@@ -18,11 +18,10 @@ from .errors import SolverError, ValidationError
 from .model import BathGrid, coupling
 
 DEFAULT_SAMPLE_EVERY = 1e-3
-# Largest samples x (modes + 1) complex amplitudes a solve may ask for, in
-# bytes.  It bounds memory when mode amplitudes are kept (fig7, the largest
-# preset, would come to 209 MB).  Without them a sample costs O(1), since
-# `_rk.integrate` reads c_a and the norm off its 4x4 algebra, and the limit
-# only caps the sample count on large grids.
+# Largest number of bytes a solve may keep for its samples: c_a and the norm
+# per sample, and the mode amplitudes when they are kept.  It bounds memory
+# when mode amplitudes are kept (fig7, the largest preset, would come to
+# 209 MB); without them it only caps the sample count.
 MAX_SAMPLE_BYTES = 2**30
 # Largest population a trajectory may report.
 _PA_MAX = 1 + 1e-6
@@ -126,8 +125,11 @@ def evolve(
 
     ``rel_tol`` is the accuracy of ``pa``: at every sample it lies within
     rel_tol of the converged solution of this grid (tested on the paper's
-    presets; see ``_rk.integrate`` for what the step controller holds).
-    Mode amplitudes are kept only on request since high-chirp grids can hold
+    presets and on points of the benchmark's ranges; see ``_rk.integrate``
+    for what the step controller holds).  A chirped grid's steps are at
+    most 1 / |chi| long, the time a mode takes to cross the envelope's unit
+    half-width, so that every crossing spans two steps' nodes.  Mode
+    amplitudes are kept only on request since high-chirp grids can hold
     1e5-1e6 modes.  The norm may drift by at most 1e-10, or by 10 * rel_tol
     * horizon if that is less, at any sample.
     """
@@ -137,12 +139,12 @@ def evolve(
     t_end = grid.horizon
     times = None if sample_times is None else np.asarray(sample_times, dtype=float)
     count = t_end / sample_every + 2 if times is None else times.size
-    size = count * (grid.size + 1) * 16.0
+    columns = 2 + (grid.size if store_modes else 0)
+    size = count * columns * 16.0
     if size > MAX_SAMPLE_BYTES:
         raise ValidationError(
-            f"{count:.3g} samples of {grid.size + 1} amplitudes come to {size / 2**30:.3g} GiB "
-            f"of interpolated states, above the {MAX_SAMPLE_BYTES / 2**30:g} GiB limit; "
-            "raise --sample-every"
+            f"{count:.3g} samples of {columns} complex values come to {size / 2**30:.3g} GiB, "
+            f"above the {MAX_SAMPLE_BYTES / 2**30:g} GiB limit; raise --sample-every"
         )
     if times is None:
         times = _sample_times(t_end, sample_every)
@@ -155,7 +157,12 @@ def evolve(
     y0[0] = 1.0
     rhs = _make_rhs(grid)
 
-    kept, _ = _rk.integrate(rhs, 0.0, y0, times, rel_tol=rel_tol, keep=store_modes)
+    # Both error estimates read u(t) at the step's nodes only, so a crossing
+    # between them would go unseen by the estimates as by the step.
+    max_step = 1.0 / abs(grid.p.chi) if grid.p.chi else np.inf
+    kept, _ = _rk.integrate(
+        rhs, 0.0, y0, times, rel_tol=rel_tol, keep=store_modes, max_step=max_step
+    )
     pa, norms = np.abs(kept[:, 0]) ** 2, kept[:, 1].real
     drift = float(np.max(np.abs(norms - 1.0)))
     budget = min(_NORM_DRIFT, 10.0 * rel_tol * t_end)

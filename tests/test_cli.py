@@ -278,6 +278,8 @@ def test_gamma_inf_sweep(tmp_path):
         (["volterra", "--d", "1", "--t-end", "1e300", "--steps", "16"], None, "a.csv"),
         # the whole solve ran before open() refused the path with a traceback
         (["simulate", "--d", "1", "--t-end", "0.1"], None, "a\x00b.csv"),
+        # Path.mkdir raised ValueError before any check ran
+        (["paper-figures"], None, "a\x00b"),
         # h d = 625: the Richardson estimate read 0.028 against a true error of 0.93
         (["volterra", "--d", "1e4", "--t-end", "1", "--steps", "16"], None, "a.csv"),
         # h d = 977: pa reached 1e22 and the solve exited 3
@@ -289,7 +291,8 @@ def test_gamma_inf_sweep(tmp_path):
         "mirror-gamma-underflow", "mirror-gamma-overflow", "mirror-chi-overflow",
         "sample-every-tiny", "kernel-phase-overflow", "bool-maybe", "sweep-chi-points",
         "sweep-d-list", "grid-d-overflow", "spectrum-d-overflow", "fit-d-overflow",
-        "march-step-overflow", "out-nul-byte", "march-unresolved", "march-unresolved-exit-3",
+        "march-step-overflow", "out-nul-byte", "figures-out-nul-byte", "march-unresolved",
+        "march-unresolved-exit-3",
     ],
 )
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, config, out):

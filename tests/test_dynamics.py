@@ -98,12 +98,28 @@ def test_explicit_sample_times():
         cb.evolve(grid, sample_times=np.array([0.5, 0.2]))
     with pytest.raises(cb.ValidationError):
         cb.evolve(grid, sample_times=np.array([0.5, 2.0]))
-    # 7000 samples of a 10201-mode grid would need a 1.1 GiB state matrix
+    # 7000 samples of a 10201-mode grid's amplitudes would take 1.1 GiB
     fast = cb.ModelParams(d=0.2, chi=1000.0)
     wide = cb.build_grid(fast, 1.0)
     assert wide.size == 10201
     with pytest.raises(cb.ValidationError, match="sample-every"):
-        cb.evolve(wide, sample_times=np.linspace(0.01, 1.0, 7000))
+        cb.evolve(wide, sample_times=np.linspace(0.01, 1.0, 7000), store_modes=True)
+
+
+def test_sample_limit_counts_only_the_kept_columns(monkeypatch):
+    """Without mode amplitudes a sample keeps c_a and the norm alone, so
+    1e4 samples of a 95 971-mode grid take 320 KB and run; with them they
+    would take 14.3 GiB and are refused before any step."""
+    grid = cb.build_grid(cb.ModelParams(d=8.0), 1.0, modes_per_gamma=1000.0)
+    assert grid.size == 95971
+
+    def integrate(rhs, t0, y0, sample_times, rel_tol, *, keep, max_step):
+        return np.ones((sample_times.size, 2 + (y0.size - 1 if keep else 0)), dtype=complex), 0
+
+    monkeypatch.setattr(dynamics._rk, "integrate", integrate)
+    assert cb.evolve(grid, sample_every=1e-4).times.size == 10001
+    with pytest.raises(cb.ValidationError, match=r"14\.3 GiB.*sample-every"):
+        cb.evolve(grid, sample_every=1e-4, store_modes=True)
 
 
 def test_horizon_coverage_guard():
@@ -282,28 +298,57 @@ def test_whole_solve_stays_on_one_thread_at_1e5_modes():
 OMEGA_D8 = np.sqrt(255.0)
 
 
+def _drawn_points(seed=20):
+    """A point of the benchmark's snapshots range (d 4-8, chi 20-200 drawn
+    log-uniform, chi t_end 150-250) on its full grid, sampled every 1e-3
+    over the first 0.1, and a chirped kernel-range point at weak coupling
+    (d 0.15-0.35, chi 2-100, t_end 1-2), where the local error, not the
+    sweep, sets the step."""
+    rng = np.random.default_rng(seed)
+    d, chi = rng.uniform(4.0, 8.0), np.exp(rng.uniform(np.log(20.0), np.log(200.0)))
+    t_end = rng.uniform(150.0, 250.0) / chi
+    snapshot_point = (d, chi, t_end, 1e-3 * np.arange(101), (RELAXED_REL_TOL,), False)
+    d, chi = rng.uniform(0.15, 0.35), np.exp(rng.uniform(np.log(2.0), np.log(100.0)))
+    kernel_point = (d, chi, rng.uniform(1.0, 2.0), None, (1e-8,), False)
+    return [snapshot_point, kernel_point]
+
+
 @pytest.mark.parametrize(
-    "d, chi, horizon, snapshots, tolerances",
+    "d, chi, horizon, snapshots, tolerances, modes",
     [
-        # fig4's and fig7's parameters over part of their horizons, sampled every
-        # 1e-3; the worst |dpa| is reached early (as large as over the whole
-        # horizons), and the short runs keep the 1e-12 references cheap
-        (8.0, 400.0, 0.05, None, (1e-8, RELAXED_REL_TOL)),
-        (8.0, 8.4, 0.2, None, (1e-8, RELAXED_REL_TOL)),
+        # fig4's, fig6's and fig7's parameters over part of their horizons,
+        # sampled every 1e-3; the worst |dpa| is reached early (as large as
+        # over the whole horizons), and the short runs keep the 1e-12
+        # references cheap
+        (8.0, 400.0, 0.05, None, (1e-8, RELAXED_REL_TOL), False),
+        (8.0, 20.0, 0.3, None, (1e-8, RELAXED_REL_TOL), False),
+        (8.0, 8.4, 0.2, None, (1e-8, RELAXED_REL_TOL), False),
         # the fig2 spectrum preset's first two snapshots, at the tolerance the
-        # spectra run at
+        # spectra run at, with the mode amplitudes the spectra read
         (8.0, 0.0, 4.0 * np.pi / OMEGA_D8, np.array([1.0, 4.0]) * np.pi / OMEGA_D8,
-         (RELAXED_REL_TOL,)),
+         (RELAXED_REL_TOL,), True),
+        *_drawn_points(),
+        # weak coupling, fast chirp: a mode's coupling sweeps past in 1 / chi,
+        # between the nodes of a step sized by the smooth parts of u(t); with
+        # no step cap pa was off by 53 rel_tol at 1e-7 and 4.7 at 1e-8 (chi
+        # 1000), and by 1.25 rel_tol at 1e-7 (chi 300)
+        (1.0, 1000.0, 0.1, None, (1e-8, RELAXED_REL_TOL), False),
+        (1.0, 300.0, 0.1, None, (RELAXED_REL_TOL,), False),
     ],
-    ids=["fig4", "fig7", "fig2"],
+    ids=["fig4", "fig6", "fig7", "fig2", "snapshots", "kernel", "sweep-1000", "sweep-300"],
 )
-def test_pa_lies_within_rel_tol_of_the_converged_solution(d, chi, horizon, snapshots, tolerances):
-    """evolve's accuracy target: at every sample, pa lies within rel_tol of a
-    rel_tol = 1e-12 solve of the same grid, and the norm within 1e-12 of 1.
-    That is 1e4 below the smallest window error of the presets (1.3e-4)."""
+def test_pa_lies_within_rel_tol_of_the_converged_solution(
+    d, chi, horizon, snapshots, tolerances, modes
+):
+    """evolve's accuracy target: at every sample, pa (and, where kept, each
+    mode amplitude) lies within rel_tol of a rel_tol = 1e-12 solve of the
+    same grid, and the norm within 1e-12 of 1.  That is 1e4 below the
+    smallest window error of the presets (1.3e-4)."""
     grid = cb.build_grid(cb.ModelParams(d=d, chi=chi), horizon)
-    reference = cb.evolve(grid, rel_tol=1e-12, sample_times=snapshots)
+    reference = cb.evolve(grid, rel_tol=1e-12, sample_times=snapshots, store_modes=modes)
     for rel_tol in tolerances:
-        traj = cb.evolve(grid, rel_tol=rel_tol, sample_times=snapshots)
+        traj = cb.evolve(grid, rel_tol=rel_tol, sample_times=snapshots, store_modes=modes)
         assert np.max(np.abs(traj.pa - reference.pa)) <= rel_tol
         assert np.max(np.abs(traj.norms - 1.0)) <= 1e-12
+        if modes:
+            assert np.max(np.abs(traj.modes - reference.modes)) <= rel_tol

@@ -120,3 +120,40 @@ def test_step_size_underflow_at_blow_up():
             rhs, 0.0, np.array([1.0, 0.0], dtype=complex), np.array([0.0, 1.5]), rel_tol=1e-4
         )
     assert float(str(exc.value).rsplit("= ", 1)[1]) == pytest.approx(1.0, abs=1e-6)
+
+
+def test_interpolation_constants_match_numpy_polynomial():
+    """The node polynomial, the samples' weights and the peaks of their
+    error bound, recomputed with numpy.polynomial.  The quadratic's bound is
+    1/320, at theta = 1/2; the cubic's follows r, the previous node's
+    distance before the step in units of h."""
+    poly = np.polynomial.Polynomial
+    omega = poly.fromroots(_rk._C)
+    assert np.allclose(omega.coef, _rk._OMEGA, rtol=0.0, atol=1e-15)
+    assert np.allclose(omega.deriv()(_rk._C), _rk._OMEGA_PRIME, rtol=0.0, atol=1e-15)
+
+    def peak(integral):
+        crit = integral.deriv().roots()
+        crit = crit.real[(np.abs(crit.imag) < 1e-12) & (crit.real >= 0) & (crit.real <= 1)]
+        points = np.concatenate(([0.0, 1.0], crit))
+        return points[np.argmax(np.abs(integral(points)))], np.max(np.abs(integral(points)))
+
+    at, value = peak(omega.integ())
+    assert at == pytest.approx(0.5) and value == pytest.approx(1.0 / 320.0, rel=1e-12)
+    for r in (0.0, 0.05, 0.3, 1.0, 1.35, 1.4, 3.0, 1e3):
+        _, value = peak((poly([r, 1.0]) * omega).integ())
+        assert max(a + b * r for a, b in _rk._PEAKS) == pytest.approx(value, rel=1e-12)
+
+    # A scalar generator: the cubic through (-r, a_p) and (c_k, a_k) is
+    # sum_l L_l A_l + omega A_D, so the table's weights over [0, theta]
+    # are the step's weights on the cubic at the sub-step's nodes.
+    rng = np.random.default_rng(4)
+    for r, theta in ((0.1, 0.37), (0.6, 0.9), (4.0, 0.05), (0.2, 1.0)):
+        values = rng.normal(size=4)
+        cubic = poly.fit(np.append(-r, _rk._C), values[[3, 0, 1, 2]], 3).convert()
+        quadratic = poly.fit(_rk._C, values[:3], 2).convert()
+        a_d = (cubic - quadratic).coef[3]
+        want = theta * _rk._STEP_W @ cubic(theta * _rk._C)
+        table = (theta ** np.arange(1, 5) @ _rk._THETA_W).reshape(6, 4)
+        assert np.allclose(table @ np.append(values[:3], a_d), want, rtol=0.0, atol=1e-12)
+    assert np.allclose(_rk._THETA_W.sum(0).reshape(6, 4), _rk._STEP_ROW[0], rtol=0.0, atol=1e-13)
