@@ -17,13 +17,19 @@ c_a and the projections b_k^H y; appended as a column, they make x the
 last column of the exponential of a small matrix.  exp(Omega) is unitary,
 so the norm holds to rounding at any step size.
 
-A sample inside a step is the same algebra over [t, t + theta h], with A
-interpolated cubically through the three nodes and the last node of the
-step before, whose u_p adds b_p to the basis: 5x5 plus the state column.
-The step itself is the theta = 1 member of the same stack, exactly, since
-the interpolant passes through its nodes.  c_a and the norm so cost O(1)
-per sample, and a step costs three generator calls, thirteen dot products
-and one three-row update of y.  Mode amplitudes are formed only on
+A sample inside a step takes A cubic through the three nodes and the last
+node of the step before, whose u_p adds b_p to the basis: 5x5 plus the
+state column.  h A(t + s h) is then sum_p s^p C_p, p = 0..3, and the state
+column of its propagator has the Taylor series v(s) = sum_k s^k v_k, with
+(k + 1) v_{k+1} = sum_p C_p v_{k-p} from v_0 = e_state.  A sample at
+theta is v(theta): the exact solution of the interpolated generator, whose
+only error is the interpolation's.  The series runs until a remainder bound
+lies below rounding, and [0, 1] is cut into pieces wherever its terms would
+grow large enough to lose digits.  The recurrence runs for the samples of
+many steps at once, in blocks of a few hundred samples, and each
+sample's value depends on its own step alone.  c_a and the norm so cost
+O(1) per sample, and a step costs three generator calls, thirteen dot
+products and one three-row update of y.  Mode amplitudes are formed only on
 request, from one more step over [t, t + theta h] with A at its own nodes,
 since the interpolated A is far less accurate for single modes.  Two
 estimates set the step: the local error of the fourth-order exponent
@@ -76,18 +82,16 @@ _LAGRANGE = np.array([
 # sum_l L_l(s) A_l + omega(s) A_D, where L_l is the quadratic Lagrange
 # basis and A_D = sum_l A_l / ((r + c_l) omega'(c_l)) + A_p / omega(-r).
 # Combination j of the alphas over the step is h sum_l _STEP_W[j, l] A_l,
-# and over [t, t + theta h] it is h sum_p theta^(p+1) sum_l _THETA_W[p, j,
-# l] A_l over (A_1, A_2, A_3, A_D).  Built elementwise: a BLAS call at
-# import adds 0.5 MiB of peak memory to the commands that make no BLAS call
-# (volterra).
+# and h A(t + s h) = sum_p s^p C_p with C = _INTERP @ (h A_1, h A_2, h A_3,
+# h A_D).  Built elementwise: a BLAS call at import adds 0.5 MiB of peak
+# memory to the commands that make no BLAS call (volterra).
 _STEP_W = (_COMBOS[:, :, None] * _D).sum(1)
-_MOMENTS = np.array([(_STEP_W * _C**p).sum(1) for p in range(4)])
-_THETA_W = (np.concatenate((
-    np.concatenate((_LAGRANGE, np.zeros((1, 3))))[:, None] * _MOMENTS[:, :, None],
-    (_OMEGA[:, None] * _MOMENTS)[:, :, None],
-), 2)).reshape(4, 24)
-_STEP_ROW = np.concatenate((_STEP_W, np.zeros((6, 1))), 1)[None]
-_POWERS = np.arange(1, 5)
+_INTERP = np.concatenate((np.concatenate((_LAGRANGE, np.zeros((1, 3)))), _OMEGA[:, None]), 1)
+# Over the piece [sigma, sigma + delta] of a step, in units of delta,
+# delta h A = sum_q r^q C'_q with C'_q = delta^(q + 1) sum_p _BINOM[q, p]
+# sigma^_SHIFT[q, p] C_p, where _BINOM[q, p] is binomial(p, q).
+_BINOM = np.array([[math.comb(p, q) for p in range(4)] for q in range(4)], dtype=float)
+_SHIFT = np.maximum(np.arange(4) - np.arange(4)[:, None], 0)
 # max over theta in [0, 1] of |int_0^theta (s + r) omega(s) ds| for r >= 0 is
 # the larger of a + b r over these (a, b), its values at c_2 and c_3: the
 # integral vanishes at 0 and 1, and its integrand only at the nodes in
@@ -97,7 +101,7 @@ _PEAKS = ((1.0 / 640.0, 1.0 / 320.0), (1.0 / 800.0 + 3.0 * math.sqrt(15.0) / 1e4
 # _TAYLOR_B[i, j] M^(j+1) + _TAYLOR[4 i] I.
 _TAYLOR = np.cumprod(np.concatenate(([1.0], 1.0 / np.arange(1, 13))))
 _TAYLOR_B = _TAYLOR[:12].reshape(3, 4)[:, 1:]
-_TAYLOR_I = np.outer(_TAYLOR[:12:4], np.eye(12).ravel())[:, None]
+_TAYLOR_I = np.outer(_TAYLOR[:12:4], np.eye(12).ravel())
 # A complex 6x6 matrix X, on the basis (e_0, b_1, b_2, b_3, b_p) and the
 # state, is held in the real 12x12 form [[Re X, -Im X], [Im X, Re X]].  The
 # node generator A_l / |u_l| = -i J_l is [[Im J, Re J], [-Re J, Im J]], where
@@ -134,10 +138,18 @@ _DENSE_SHARE = 0.3
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
-# Samples are taken in blocks of at most this many, which keeps the (6 rows,
-# 4) x (4, 144) product of _exponents below OpenBLAS's 2.6e5 multiply-adds
-# for a second thread.
-_BLOCK_ROWS = 64
+# A block of samples is taken once it holds _BLOCK samples or _BLOCK / 4
+# steps, and a step's samples join it at most _BLOCK at a time, so it holds
+# fewer than 2 _BLOCK samples: a step's C takes 4.6 KB, and a block's
+# arrays stay below about 1 MiB.
+_BLOCK = 256
+# A piece of a step has nu = sum_p |C_p| (max row sums) at most
+# _PIECE_NORM.  e^nu bounds the growth of its series' terms but overstates
+# it: over a paper-figures pass no term exceeded 1.2 and no piece's terms
+# summed above 3.5, so the sum loses a few ulps.  A series stops where its
+# remainder bound falls below _SERIES_TOL.
+_PIECE_NORM = 16.0
+_SERIES_TOL = 1e-17
 
 
 def _dot(a, b):
@@ -157,60 +169,50 @@ def _update(base, coef, u):
     return out
 
 
-def _exponents(theta, gen):
-    """Omega_6 over the step and over [t, t + theta_m h] for each theta_m, in
-    real form, and the last column of Omega_6 - Omega_4 over the step;
-    ``gen`` holds h A_1, h A_2, h A_3 and h A_D, flat."""
-    w = _STEP_ROW
-    if theta is not None:  # the step's own weights stay the same bytes
-        w = np.concatenate((w, ((theta[:, None] ** _POWERS) @ _THETA_W).reshape(-1, 6, 4)))
-    a1, a2, a3x2, a1_60, lin, base = (
-        w.transpose(1, 0, 2).reshape(-1, 4) @ gen
-    ).reshape(6, -1, 12, 12)
+def _exponents(gen):
+    """Omega_6 over the step, in real form, and the last column of Omega_6 -
+    Omega_4; ``gen`` holds h A_1, h A_2, h A_3 and h A_D, flat."""
+    a1, a2, a3x2, a1_60, lin, base = (_STEP_W @ gen[:3]).reshape(6, 12, 12)
     c1 = a1 @ a2 - a2 @ a1
     x = a3x2 + c1
     z = a2 + (x @ a1_60 - a1_60 @ x)  # alpha_2 + C_2
     lin += c1 / 240.0
     tail = lin @ z - z @ lin
-    return base + tail, c1[0, :, 5] / 12.0 + tail[0, :, 5]
+    return base + tail, c1[:, 5] / 12.0 + tail[:, 5]
 
 
 def _expm(m):
-    """exp(m)'s last column on (e_0, b_1, b_2, b_3, b_p) for each matrix of
-    the stack ``m``: scaling and squaring with the degree-12 Taylor
-    polynomial, whose remainder is below 3e-18 at a scaled 1-norm of at most
-    1/4, evaluated as B_0 + M^4 (B_1 + M^4 (B_2 + M^4 / 12!)) with cubic B_i
-    (Paterson-Stockmeyer)."""
-    norm = float(np.abs(m).sum(-2).max())
+    """exp(m)'s last column on (e_0, b_1, b_2, b_3, b_p): scaling and
+    squaring with the degree-12 Taylor polynomial, whose remainder is below
+    3e-18 at a scaled 1-norm of at most 1/4, evaluated as B_0 + M^4 (B_1 +
+    M^4 (B_2 + M^4 / 12!)) with cubic B_i (Paterson-Stockmeyer)."""
+    norm = float(np.abs(m).sum(0).max())
     squarings = math.ceil(math.log2(norm / 0.25)) if norm > 0.25 else 0
     if squarings:
         m = m * 0.5**squarings
-    powers = np.empty((3,) + m.shape)
+    powers = np.empty((3, 12, 12))
     powers[0] = m
     np.matmul(m, m, out=powers[1])
     np.matmul(powers[1], m, out=powers[2])
     m4 = powers[1] @ powers[1]
-    b = (_TAYLOR_B @ powers.reshape(3, -1)).reshape(3, -1, 144)
-    b += _TAYLOR_I
-    b = b.reshape(3, -1, 12, 12)
+    b = (_TAYLOR_B @ powers.reshape(3, 144) + _TAYLOR_I).reshape(3, 12, 12)
     e = b[0] + m4 @ (b[1] + m4 @ (b[2] + _TAYLOR[12] * m4))
     for _ in range(squarings):
         e = e @ e
-    return e[:, :5, 5] + 1j * e[:, 6:11, 5]
+    return e[:5, 5] + 1j * e[6:11, 5]
 
 
-def _attempt(rhs, e0, t, h, y, u, theta, prev):
+def _attempt(rhs, e0, t, h, y, u, prev):
     """One step of size h from (t, y), with u(t) at its nodes written to the
     rows of ``u``.  ``prev`` is None or, for the step before: u at its last
     node and |u| there, f(s) = u(s)^H y[1:] at its middle and last nodes,
     its size and its |f[5 nodes]|.
 
-    Returns Omega_6 over the step and over [t, t + theta_m h] for each
-    theta_m (or the step alone when ``theta`` is None), the step's local
-    error estimate, the estimated largest error of the samples' c_a and the
-    |f[5 nodes]| behind it (both None without ``prev``), |u_l| at the
-    nodes, B^H y and the metric B^H B for B = (e_0, b_1, b_2, b_3, b_p), and
-    the generators h A_1, h A_2, h A_3 and h A_D."""
+    Returns Omega_6 over the step, the step's local error estimate, the
+    estimated largest error of the samples' c_a and the |f[5 nodes]| behind
+    it (both None without ``prev``), |u_l| at the nodes, B^H y and the
+    metric B^H B for B = (e_0, b_1, b_2, b_3, b_p), and the generators h
+    A_1, h A_2, h A_3 and h A_D."""
     for k in range(3):
         np.multiply(rhs(t + _C[k] * h, e0)[1:], 1j, out=u[k])
     yb = y[1:]
@@ -250,10 +252,103 @@ def _attempt(rhs, e0, t, h, y, u, theta, prev):
         ) / (r_mid - r)
         fourth = abs(div) / h**4  # |f[5 nodes]|: div is in units of h
         ca_err = h**5 * max(fourth, fourth_prev) * max(a + b * r for a, b in _PEAKS)
-    omega, col = _exponents(theta, gen)
+    omega, col = _exponents(gen)
     diff = col[:5] + 1j * col[6:11]
     local = math.sqrt(max((diff.conj() @ metric @ diff).real, 0.0))
     return omega, local, ca_err, fourth, scale, v[6:11], metric, gen
+
+
+def _series(c, start, nu):
+    """Taylor coefficients v_k, stacked (k, row, 12), of v(r) with dv/dr =
+    sum_q r^q C_q v and v(0) = ``start``, for each row of ``c`` (C_0 .. C_3
+    side by side, 12 x 48) whose sum_q |C_q| is at most ``nu``.
+
+    With q = nu / (K + 1) < 1 and M the largest |v_k| over k = K - 3..K,
+    the recurrence gives |v_{K+j}| <= q M for j = 1..4, and so on four
+    terms at a time, so the terms past K sum to at most 4 q M / (1 - q) for
+    r in [0, 1].  A row keeps its terms up to the first K where that lies
+    below _SERIES_TOL and zeros after, so the other rows do not change it."""
+    hist = np.zeros((start.shape[0], 48, 1))  # v_k, v_{k-1}, v_{k-2}, v_{k-3}
+    hist[:, :12, 0] = start
+    terms = [start]
+    while True:
+        k = len(terms)
+        v = c @ hist
+        v *= 1.0 / k
+        hist = np.concatenate((v, hist[:, :36]), 1)
+        terms.append(v[:, :, 0])
+        if k % 4 == 0:
+            q = nu / (k + 1)
+            bound = 4.0 * q * np.abs(hist).max((1, 2)) / (1.0 - q)
+            if not np.any((q >= 1.0) | (bound > _SERIES_TOL)):
+                break  # a NaN row stops it too
+    terms = np.array(terms)
+    size = np.abs(terms).max(2)
+    most = size.copy()  # the largest |v| over k - 3..k
+    for back in range(1, 4):
+        most[back:] = np.maximum(most[back:], size[:-back])
+    q = nu / np.arange(1.0, k + 2.0)[:, None]
+    done = (q < 1.0) & (4.0 * q * most / (1.0 - q) <= _SERIES_TOL)
+    last = np.where(done.any(0), done.argmax(0), k)  # a NaN row keeps all
+    terms[np.arange(k + 1)[:, None] > last] = 0.0
+    return terms[:last.max() + 1]
+
+
+def _horner(terms, which, r):
+    """sum_k r^k terms[k, which], one row per r."""
+    x = terms[-1].take(which, 0)
+    r = r[:, None]
+    for term in terms[-2::-1]:
+        x *= r
+        x += term.take(which, 0)
+    return x
+
+
+def _samples(block, sample_times, kept):
+    """Write c_a and the norm of a block of samples to their rows of
+    ``kept``.  Each entry of ``block`` covers the sample rows [lo, hi) of
+    one step, the next entry's rows following on: lo, hi, the step's start
+    and size, c_a and |y|^2 at its start, 2 conj(B^H y), the metric B^H B
+    and its C_0 .. C_3 side by side.
+
+    A step whose sum_p |C_p| (max row sums) is nu is cut into
+    ceil(nu / _PIECE_NORM) equal pieces; each piece's series starts from
+    the value the one before ends at, and only the pieces up to its last
+    sample are summed."""
+    lo, hi, t, h, ca, norm0, yb2, metric, c = (np.array(col) for col in zip(*block))
+    n = len(block)
+    nu = np.abs(c).reshape(n, 12, 4, 12).sum(3).max(1).sum(1)
+    pieces = np.ceil(np.maximum(nu / _PIECE_NORM, 1.0))
+    step = np.repeat(np.arange(n), hi - lo)
+    rows = slice(lo[0], hi[-1])
+    scaled = (sample_times[rows] - t[step]) / h[step] * pieces[step]
+    piece = np.minimum(np.floor(scaled), pieces[step] - 1.0)
+    r = scaled - piece
+    need = piece[hi - lo[0] - 1]  # each step's last piece with a sample
+    x = np.empty((step.size, 12))
+    start = np.zeros((n, 12))
+    start[:, 5] = 1.0  # the state column
+    for j in range(int(need.max()) + 1):
+        live = np.flatnonzero(need >= j)
+        cj = c[live]
+        cut = np.flatnonzero(pieces[live] > 1.0)
+        if cut.size:
+            # C over [j delta, (j + 1) delta], in units of delta
+            delta = 1.0 / pieces[live[cut], None, None]
+            shift = _BINOM * (j * delta) ** _SHIFT * delta ** np.arange(1.0, 5.0)[:, None]
+            cj[cut] = np.einsum(
+                "kqp,kipj->kiqj", shift, cj[cut].reshape(-1, 12, 4, 12)
+            ).reshape(-1, 12, 48)
+        terms = _series(cj, start[live], nu[live] / pieces[live])
+        at = np.flatnonzero(piece == j)
+        x[at] = _horner(terms, np.searchsorted(live, step[at]), r[at])
+        on = np.flatnonzero(need[live] > j)
+        start[live[on]] = _horner(terms, on, np.ones(on.size))
+    x = x[:, :5] + 1j * x[:, 6:11]
+    # |y + B x|^2 = |y|^2 + 2 Re(yb^H x) + x^H G x with yb = B^H y
+    gx = (x.conj()[:, :, None] * metric[step]).sum(1)
+    kept[rows, 0] = ca[step] + x[:, 0]
+    kept[rows, 1] = norm0[step] + ((gx + yb2[step]) * x).sum(1).real
 
 
 def integrate(rhs, t0, y0, sample_times, rel_tol=1e-8, *, keep=False, max_step=math.inf):
@@ -263,8 +358,11 @@ def integrate(rhs, t0, y0, sample_times, rel_tol=1e-8, *, keep=False, max_step=m
     ``rhs(t, y)`` must be A(t) y for a star generator as above.  It is called
     with y = e_0 only, and u(t) is read off as i rhs(t, e_0)[1:], copied at
     once, so ``rhs`` may reuse its buffer.  Each attempted step calls it three
-    times, at the step's nodes.  Sampling c_a and the norm calls it never;
-    with ``keep``, each sample's mode amplitudes come from one more step,
+    times, at the step's nodes.  Sampling c_a and the norm calls it never:
+    a sample is summed from its step's Taylor series (see above), in blocks
+    taken after their steps, and from its own step's data alone, so its
+    bytes do not depend on which other sample times are asked for.  With
+    ``keep``, each sample's mode amplitudes come from one more step,
     from the start of the step it falls in to the sample time, which calls
     it three times more and leaves the step sequence as it is.
 
@@ -301,6 +399,7 @@ def integrate(rhs, t0, y0, sample_times, rel_tol=1e-8, *, keep=False, max_step=m
         kept[:idx, 2:] = y[1:]
     h = min(t_last - t, max_step)
     n_steps = 0
+    block = []  # samples not yet taken, as _samples reads them
 
     while idx < sample_times.size:
         if h < 1e-14 * max(1.0, abs(t)):
@@ -309,12 +408,9 @@ def integrate(rhs, t0, y0, sample_times, rel_tol=1e-8, *, keep=False, max_step=m
         h_use = t_last - t if last else h
         t_next = t_last if last else t + h_use
         stop = sample_times.size if last else int(sample_times.searchsorted(t_next, "right"))
-        # The step itself, then the first block of samples inside it.
-        hi = min(stop, idx + _BLOCK_ROWS)
-        theta = (sample_times[idx:hi] - t) / h_use if hi > idx else None
         u = nodes[n_steps % 2]
         omega, local, ca_err, fourth, scale, coords, metric, gen = _attempt(
-            rhs, e0, t, h_use, y, u, theta, prev
+            rhs, e0, t, h_use, y, u, prev
         )
         if prev is None:
             err = local / (_FIRST_SHARE * rel_tol)
@@ -325,34 +421,31 @@ def integrate(rhs, t0, y0, sample_times, rel_tol=1e-8, *, keep=False, max_step=m
         if err <= 1.0:
             x = _expm(omega)
             if stop > idx:
-                # |y + B x|^2 = |y|^2 + 2 Re(yb^H x) + x^H G x with yb = B^H y
-                norm0 = _dot(y, y).real
-                yb2 = 2.0 * coords.conj()
-            for lo in range(idx, stop, _BLOCK_ROWS):
-                end = min(stop, lo + _BLOCK_ROWS)
-                if lo == idx:
-                    xs = x[1:]
-                else:
-                    theta = (sample_times[lo:end] - t) / h_use
-                    xs = _expm(_exponents(theta, gen)[0])[1:]
-                kept[lo:end, 0] = y[0] + xs[:, 0]
-                kept[lo:end, 1] = norm0 + ((xs.conj() @ metric + yb2) * xs).sum(1).real
+                c = (_INTERP @ gen).reshape(4, 12, 12).transpose(1, 0, 2).reshape(12, 48)
+                entry = (t, h_use, y[0], _dot(y, y).real, 2.0 * coords.conj(), metric, c)
+                for lo in range(idx, stop, _BLOCK):
+                    block.append((lo, min(stop, lo + _BLOCK)) + entry)
+                    if block[-1][1] - block[0][0] >= _BLOCK or 4 * len(block) >= _BLOCK:
+                        _samples(block, sample_times, kept)
+                        block = []
             if keep:
                 for row in range(idx, stop):
-                    sub = _attempt(rhs, e0, t, sample_times[row] - t, y, nodes[2], None, None)
-                    kept[row, 2:] = _update(y[1:], _expm(sub[0])[0, 1:4] / sub[4], nodes[2])
+                    sub = _attempt(rhs, e0, t, sample_times[row] - t, y, nodes[2], None)
+                    kept[row, 2:] = _update(y[1:], _expm(sub[0])[1:4] / sub[4], nodes[2])
             idx = stop
             # b^H y[1:] moves by B^H B x over the step, which gives f at
             # this step's middle and last nodes for the next one
-            after = coords + metric @ x[0]
+            after = coords + metric @ x
             prev = (u[2], scale[2], after[2] * scale[1], after[3] * scale[2], h_use, fourth or 0.0)
             t = t_next
-            y[0] += x[0, 0]
-            y[1:] = _update(y[1:], x[0, 1:4] / scale, u)
+            y[0] += x[0]
+            y[1:] = _update(y[1:], x[1:4] / scale, u)
             n_steps += 1
             h = min(max_step, h_use * min(_MAX_FACTOR, max(_MIN_FACTOR, fac)))
         else:
             # Until a step is taken, the estimate alone sizes the retry.
             floor = 1e-3 if prev is None else _MIN_FACTOR
             h = h_use * max(floor, min(_SAFETY, fac))
+    if block:
+        _samples(block, sample_times, kept)
     return kept, n_steps

@@ -32,11 +32,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_SOLVER = 3
 
-# Sweep fits and spectrum snapshots run at a slightly relaxed tolerance: the
-# quantities extracted from them carry percent-level tolerances, and the
-# relaxation keeps every preset comfortably inside a desk-scale time budget.
-# Trajectories (simulate) run at evolve's own default.
-RELAXED_REL_TOL = 1e-7
 FIT_WINDOW = (0.1, 1.0)
 # A gamma-inf sweep point costs 13-14 us and holds about 0.55 KiB until the
 # table is written (2-CPU Xeon; 5e5 points took 6.5-7.0 s and 321 MiB peak
@@ -188,7 +183,7 @@ def spectrum_table(
     if snap[0] <= 0:
         raise ValidationError("snapshot times must be positive")
     grid = build_grid(ModelParams(d=d, chi=chi), float(snap[-1]), modes_per_gamma)
-    traj = evolve(grid, rel_tol=RELAXED_REL_TOL, sample_times=snap, store_modes=True)
+    traj = evolve(grid, sample_times=snap, store_modes=True)
     rows = []
     for t, pa, c_modes in zip(traj.times, traj.pa, traj.modes):
         series = numeric_spectrum(c_modes, t, grid)
@@ -225,7 +220,7 @@ def gamma_inf_table(
         raise ValidationError("fit_chis given without fit_d")
     for chi in fit_chis or ():
         p = ModelParams(d=fit_d, chi=chi)
-        traj = evolve(build_grid(p, FIT_WINDOW[1], modes_per_gamma), rel_tol=RELAXED_REL_TOL)
+        traj = evolve(build_grid(p, FIT_WINDOW[1], modes_per_gamma))
         key = (float(fit_d), float(chi))
         if key not in entries:
             entries[key] = [p, gamma_infinity(p), None]

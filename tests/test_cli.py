@@ -31,6 +31,14 @@ def test_rerun_is_byte_identical(tmp_path):
         assert a.read_bytes() == b.read_bytes()
 
 
+def test_preset_alone_writes_the_bytes_of_paper_figures(tmp_path, figures_dir):
+    """A preset run on its own writes the same bytes as the same preset
+    inside paper-figures, after the other presets' solves."""
+    out = tmp_path / "fig8.csv"
+    assert cli.main(["simulate", "--preset", "fig8", "--out", str(out)]) == 0
+    assert out.read_bytes() == (figures_dir / "fig8.csv").read_bytes()
+
+
 def test_write_formats_numeric_and_text_tables(tmp_path):
     """Numbers print as %.16e; a column with text in a later row only (the
     gamma-inf table's shape) prints its text as is and its numbers as the

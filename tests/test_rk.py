@@ -123,8 +123,8 @@ def test_step_size_underflow_at_blow_up():
 
 
 def test_interpolation_constants_match_numpy_polynomial():
-    """The node polynomial, the samples' weights and the peaks of their
-    error bound, recomputed with numpy.polynomial.  The quadratic's bound is
+    """The node polynomial, the samples' cubic, its pieces and the peaks of
+    its error bound, recomputed with numpy.polynomial.  The quadratic's bound is
     1/320, at theta = 1/2; the cubic's follows r, the previous node's
     distance before the step in units of h."""
     poly = np.polynomial.Polynomial
@@ -145,15 +145,71 @@ def test_interpolation_constants_match_numpy_polynomial():
         assert max(a + b * r for a, b in _rk._PEAKS) == pytest.approx(value, rel=1e-12)
 
     # A scalar generator: the cubic through (-r, a_p) and (c_k, a_k) is
-    # sum_l L_l A_l + omega A_D, so the table's weights over [0, theta]
-    # are the step's weights on the cubic at the sub-step's nodes.
+    # sum_l L_l A_l + omega A_D, whose power coefficients _INTERP gives;
+    # over the piece [sigma, sigma + delta] of a step, delta times it is the
+    # cubic in units of delta that _BINOM and _SHIFT give.
     rng = np.random.default_rng(4)
-    for r, theta in ((0.1, 0.37), (0.6, 0.9), (4.0, 0.05), (0.2, 1.0)):
+    for r, sigma, delta in ((0.1, 0.0, 1.0), (0.6, 0.25, 0.25), (4.0, 0.5, 0.5), (0.2, 0.9, 0.1)):
         values = rng.normal(size=4)
         cubic = poly.fit(np.append(-r, _rk._C), values[[3, 0, 1, 2]], 3).convert()
         quadratic = poly.fit(_rk._C, values[:3], 2).convert()
-        a_d = (cubic - quadratic).coef[3]
-        want = theta * _rk._STEP_W @ cubic(theta * _rk._C)
-        table = (theta ** np.arange(1, 5) @ _rk._THETA_W).reshape(6, 4)
-        assert np.allclose(table @ np.append(values[:3], a_d), want, rtol=0.0, atol=1e-12)
-    assert np.allclose(_rk._THETA_W.sum(0).reshape(6, 4), _rk._STEP_ROW[0], rtol=0.0, atol=1e-13)
+        coef = _rk._INTERP @ np.append(values[:3], (cubic - quadratic).coef[3])
+        assert np.allclose(coef, cubic.coef, rtol=0.0, atol=1e-12)
+        shift = _rk._BINOM * sigma**_rk._SHIFT * delta ** np.arange(1.0, 5.0)[:, None]
+        at = np.linspace(0.0, 1.0, 7)
+        want = delta * cubic(sigma + delta * at)
+        assert np.allclose(poly(shift @ coef)(at), want, rtol=0.0, atol=1e-12)
+
+
+def test_a_sample_does_not_depend_on_the_other_samples():
+    """A sample's c_a and norm are the same bytes whichever other samples
+    are taken: 20 000 more times before the last one fill many blocks, put
+    more than a block into one step and cut the steps' entries at block
+    boundaries, and move no row."""
+    base = np.array([0.31415, 0.7771, 1.2345, 1.99991, T_LAST])
+    extra = np.linspace(0.0, T_LAST, 20001)[:-1]
+    times = np.union1d(base, extra)
+    alone, steps_alone, _ = _run(base, keep=False)
+    crowded, steps_crowded, _ = _run(times, keep=False)
+    assert steps_crowded == steps_alone and steps_crowded * _rk._BLOCK < times.size
+    assert np.array_equal(crowded[np.searchsorted(times, base)], alone)
+
+
+def test_one_long_step_is_sampled_in_pieces():
+    """One static mode at detuning 0 with coupling 2: A is constant, both
+    estimates read rounding, and the steps grow until one spans most of
+    [0, 40] with |h A| far above _PIECE_NORM, so its samples' series runs
+    in pieces.  c_a = cos(2 t) exactly."""
+    rhs, calls = _star(lambda t: np.array([2.0]))
+    times = np.linspace(0.0, 40.0, 4001)
+    kept, n_steps = _rk.integrate(rhs, 0.0, np.array([1.0, 0.0], dtype=complex), times)
+    nodes = np.array(calls).reshape(-1, 3)
+    assert 2.0 * np.max(nodes[:, 2] - nodes[:, 0]) / NODE_SPAN > 4.0 * _rk._PIECE_NORM
+    assert np.max(np.abs(kept[:, 0] - np.cos(2.0 * times))) < 1e-10
+    assert np.max(np.abs(kept[:, 1] - 1.0)) < 1e-13
+
+
+@pytest.mark.parametrize("scale", [0.3, 40.0], ids=["one-piece", "pieces"])
+def test_constant_generator_samples_match_the_exponential(scale):
+    """With A_1 = A_2 = A_3 = A_p the interpolated generator is the constant
+    M, and a sample at theta is the last column of exp(theta M), which
+    _expm gives; M is the real form of -i [[H, w], [0, 0]] with H Hermitian,
+    so the exponential stays bounded at any scale."""
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=(5, 6)) + 1j * rng.normal(size=(5, 6))
+    gen = np.zeros((6, 6), dtype=complex)
+    gen[:5, :5] = -0.5j * (x[:, :5] + x[:, :5].conj().T)
+    gen[:5, 5] = -1j * x[:, 5]
+    gen *= scale / np.abs(gen).sum(0).max()
+    m = np.block([[gen.real, -gen.imag], [gen.imag, gen.real]])
+    # the generators' mix for A_D vanishes when the four are equal
+    c = (_rk._INTERP @ np.array([m, m, m, 0.0 * m]).reshape(4, 144))
+    c = c.reshape(4, 12, 12).transpose(1, 0, 2).reshape(12, 48)
+    theta = np.linspace(0.0, 1.0, 37)
+    kept = np.empty((theta.size, 2), dtype=complex)
+    entry = (0, theta.size, 0.0, 1.0, 0.0, 0.0, np.zeros(5), np.eye(5), c)
+    _rk._samples([entry], theta, kept)
+    want = np.array([_rk._expm(s * m) for s in theta])
+    size = np.abs(want).max()
+    assert np.max(np.abs(kept[:, 0] - want[:, 0])) < 1e-13 * size
+    assert np.max(np.abs(kept[:, 1].real - (np.abs(want) ** 2).sum(1))) < 1e-13 * size**2
